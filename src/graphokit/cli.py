@@ -23,6 +23,7 @@ from .table import FeatureTable, combine_tasks
 from .ink import validate_recording
 
 ALL_TASKS = ("spiral", "sentence", "pentagons")
+CV_FOLDS = 5
 
 PROFILES = {
     "paper": {"iterations": 1000, "permutations": 1000, "cv_repeats": 10,
@@ -40,7 +41,6 @@ class RunConfig:
     profile: str = "desk"
     iterations: int | None = None
     permutations: int | None = None
-    cv_k: int = 5
     cv_repeats: int | None = None
     n_estimators: int | None = None
     seed: int = 0
@@ -55,8 +55,6 @@ class RunConfig:
                 base[key] = getattr(self, key)
         if base["iterations"] < 1 or base["permutations"] < 1:
             raise InvalidParams("iterations and permutations must be >= 1")
-        if self.cv_k < 2:
-            raise InvalidParams("cv_k must be >= 2")
         return base
 
 
@@ -68,7 +66,7 @@ def run_json_payload(config: RunConfig) -> dict:
         "config": asdict(config),
         "protocol": {
             "search_iterations": r["iterations"],
-            "cv_folds": config.cv_k,
+            "cv_folds": CV_FOLDS,
             "cv_repetitions": r["cv_repeats"],
             "permutations": r["permutations"],
             "n_estimators": r["n_estimators"],
@@ -83,7 +81,7 @@ def _seed_default() -> int:
     return int(os.environ.get("GRAPHOKIT_SEED", "0"))
 
 
-def _load_tables(manifest_path, tasks, strict, stop_radius):
+def _load_tables(manifest_path, tasks, strict):
     manifest = load_manifest(manifest_path)
     per_task, problems = load_cohort(manifest, strict=strict)
     tables = {}
@@ -91,11 +89,18 @@ def _load_tables(manifest_path, tasks, strict, stop_radius):
         rows = []
         for sid, label, rec in per_task.get(task, []):
             rec = validate_recording(rec, strict=strict)
-            feats = extract_features(rec, task=task, stop_radius=stop_radius)
+            feats = extract_features(rec, task=task)
             rows.append((sid, label, feats))
         if rows:
             tables[task] = FeatureTable.from_rows(rows)
     return tables, problems
+
+
+def _write_warnings(out: Path, problems, echo) -> None:
+    """Record the skipped subject-task files in ``<out>/warnings.txt``."""
+    if problems:
+        (out / "warnings.txt").write_text("\n".join(problems) + "\n")
+        echo(f"{len(problems)} warnings -> warnings.txt")
 
 
 @click.group()
@@ -123,14 +128,12 @@ def synth(out, hc, lbd, delta, seed):
 @click.option("--out", required=True, type=click.Path())
 @click.option("--tasks", default=",".join(ALL_TASKS), show_default=True)
 @click.option("--strict", is_flag=True)
-@click.option("--stop-radius", default=2.0, show_default=True)
-def extract(manifest, out, tasks, strict, stop_radius):
+def extract(manifest, out, tasks, strict):
     """Extract per-task feature CSVs plus the combined table."""
     task_list = [t for t in tasks.split(",") if t]
     out = Path(out)
     try:
-        tables, problems = _load_tables(manifest, task_list, strict,
-                                        stop_radius)
+        tables, problems = _load_tables(manifest, task_list, strict)
     except GraphokitError as exc:
         raise click.ClickException(str(exc))
     if not tables:
@@ -145,9 +148,7 @@ def extract(manifest, out, tasks, strict, stop_radius):
         combined.to_csv(out / "features_combined.csv")
         click.echo(f"features_combined.csv: {combined.n_subjects} subjects, "
                    f"{combined.n_features} features")
-    if problems:
-        (out / "warnings.txt").write_text("\n".join(problems) + "\n")
-        click.echo(f"{len(problems)} warnings -> warnings.txt")
+    _write_warnings(out, problems, click.echo)
 
 
 @main.command()
@@ -175,8 +176,10 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
         json.dumps(run_json_payload(config), indent=2, sort_keys=True) + "\n")
 
     base_tasks = [t for t in config.tasks if t != "combined"]
-    tables, _ = _load_tables(config.manifest, base_tasks or list(ALL_TASKS),
-                             config.strict, stop_radius=2.0)
+    tables, problems = _load_tables(config.manifest,
+                                    base_tasks or list(ALL_TASKS),
+                                    config.strict)
+    _write_warnings(out, problems, echo)
     if "combined" in config.tasks and len(tables) > 1:
         tables["combined"] = combine_tasks(tables)
     tables = {t: tables[t] for t in config.tasks if t in tables}
@@ -186,11 +189,11 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
     results = {}
     for task, table in tables.items():
         echo(f"[{task}] search x{r['iterations']}, "
-             f"CV {config.cv_k}x{r['cv_repeats']}, "
+             f"CV {CV_FOLDS}x{r['cv_repeats']}, "
              f"perm x{r['permutations']}")
         report = evaluate_task(
             table, task=task, grids=grids, iterations=r["iterations"],
-            permutations=r["permutations"], k=config.cv_k,
+            permutations=r["permutations"], k=CV_FOLDS,
             repeats=r["cv_repeats"], seed=config.seed,
             objective=config.threshold_objective)
         results[task] = report
@@ -200,7 +203,6 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
             for thr, fpr, tpr in report.roc:
                 w.writerow([f"{thr:.10g}", f"{fpr:.10g}", f"{tpr:.10g}"])
         _write_roc_svg(out / f"roc_{task}.svg", report.roc)
-        from . import gbt as _gbt  # noqa: F401  (model format lives there)
         echo(f"[{task}] BACC={report.metrics['BACC']:.4f} "
              f"AUC={report.auc:.4f} p={report.permutation_p:.4g}")
 

@@ -2,8 +2,7 @@
 vector-to-scalar aggregations (median, nCV, slope, 95th percentile).
 
 All kinematics use actual sample-to-sample time deltas, never an assumed
-fixed rate. Projected velocities are magnitudes (|dx|/dt, |dy|/dt); the
-signed variant is available via ``signed=True``.
+fixed rate. Projected velocities are magnitudes (|dx|/dt, |dy|/dt).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class Projection(str, Enum):
 class SurfaceScope(str, Enum):
     ON_SURFACE = "onsurf"
     IN_AIR = "inair"
-    BOTH = "both"
 
 
 class Aggregation(str, Enum):
@@ -118,8 +116,8 @@ def temporal_features(rec: InkRecording) -> dict:
     }
 
 
-def kinematic_profile(stroke: Stroke, proj: Projection, order: str,
-                      signed: bool = False) -> np.ndarray:
+def kinematic_profile(stroke: Stroke, proj: Projection,
+                      order: str) -> np.ndarray:
     """Velocity or acceleration sequence for one stroke.
 
     velocity_i = disp(i, i+1) / dt; acceleration = first difference of the
@@ -137,13 +135,9 @@ def kinematic_profile(stroke: Stroke, proj: Projection, order: str,
     if proj is Projection.GLOBAL:
         disp = np.hypot(np.diff(stroke.x), np.diff(stroke.y))
     elif proj is Projection.HORIZONTAL:
-        disp = np.diff(stroke.x)
-        if not signed:
-            disp = np.abs(disp)
+        disp = np.abs(np.diff(stroke.x))
     else:
-        disp = np.diff(stroke.y)
-        if not signed:
-            disp = np.abs(disp)
+        disp = np.abs(np.diff(stroke.y))
     vel = disp / dt
     if order == "velocity":
         return vel
@@ -151,10 +145,9 @@ def kinematic_profile(stroke: Stroke, proj: Projection, order: str,
     return np.diff(vel) / mid_dt
 
 
-def kinematic_vector(strokes, proj: Projection, order: str,
-                     signed: bool = False) -> np.ndarray:
+def kinematic_vector(strokes, proj: Projection, order: str) -> np.ndarray:
     """Concatenated per-stroke kinematic sequences for a set of strokes."""
-    parts = [kinematic_profile(s, proj, order, signed=signed) for s in strokes]
+    parts = [kinematic_profile(s, proj, order) for s in strokes]
     parts = [p for p in parts if p.size]
     return np.concatenate(parts) if parts else np.empty(0)
 
@@ -183,7 +176,7 @@ def spatial_features(rec: InkRecording, scope: SurfaceScope) -> dict:
     strokes = segment_strokes(rec)
     if scope is SurfaceScope.ON_SURFACE:
         strokes = on_surface_strokes(strokes)
-    elif scope is SurfaceScope.IN_AIR:
+    else:
         strokes = in_air_strokes(strokes)
     pts = sum(s.n for s in strokes)
     if pts < 2 or not strokes:

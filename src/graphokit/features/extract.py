@@ -14,8 +14,7 @@ from ..ink import (InkRecording, in_air_strokes, on_surface_strokes,
                    segment_strokes)
 from .basic import (Projection, SurfaceScope, aggregate_all, dynamic_features,
                     kinematic_vector, spatial_features, temporal_features)
-from .events import (DEFAULT_STOP_DURATION, DEFAULT_STOP_RADIUS,
-                     count_intersections, count_pen_stops, shannon_entropy,
+from .events import (count_intersections, count_pen_stops, shannon_entropy,
                      stroke_summary, velocity_profile_changes)
 from .spiral import spiral_features, unwrap_polar
 
@@ -23,9 +22,7 @@ SPIRAL_FEATURE_NAMES = ("dos", "mean_speed", "smoothness2", "spi",
                         "tightness", "width_var", "zcr1")
 
 
-def extract_features(rec: InkRecording, task: str | None = None,
-                     stop_radius: float = DEFAULT_STOP_RADIUS,
-                     stop_min_duration: float = DEFAULT_STOP_DURATION) -> dict:
+def extract_features(rec: InkRecording, task: str | None = None) -> dict:
     """All feature families for one recording, keyed by contract name."""
     task = task or rec.task.value
     out: dict[str, float] = {}
@@ -93,8 +90,7 @@ def extract_features(rec: InkRecording, task: str | None = None,
     summary = stroke_summary(rec)
     out[f"{p}.interruptions"] = summary["interruptions"]
     out[f"{p}.tempo"] = summary["tempo"]
-    out[f"{p}.pen_stops"] = count_pen_stops(rec, min_duration=stop_min_duration,
-                                            radius=stop_radius)
+    out[f"{p}.pen_stops"] = count_pen_stops(rec)
     for mode in ("intra", "inter"):
         count, rel = count_intersections(on, mode)
         out[f"{p}.intersections_{mode}"] = count

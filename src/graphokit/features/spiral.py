@@ -47,7 +47,7 @@ def _line_fit(theta, r):
     return a, b
 
 
-def unwrap_polar(rec: InkRecording, refine_center: bool = True) -> PolarTrace:
+def unwrap_polar(rec: InkRecording) -> PolarTrace:
     """Unwrap the on-surface trace to a canonical polar profile.
 
     Direction is normalized so theta increases (a mirrored spiral maps onto
@@ -64,21 +64,20 @@ def unwrap_polar(rec: InkRecording, refine_center: bool = True) -> PolarTrace:
     if abs(theta[-1] - theta[0]) < 2 * np.pi:
         raise NotASpiral("unwrapped angle span below one full turn")
 
-    if refine_center:
-        # the innermost turn is numerically ill-behaved under center shifts
-        # (tiny radii, unstable angles); refine on the outer turns only
-        outer = np.abs(theta - theta[0]) >= 2 * np.pi
-        xo, yo = x[outer], y[outer]
+    # the innermost turn is numerically ill-behaved under center shifts
+    # (tiny radii, unstable angles); refine on the outer turns only
+    outer = np.abs(theta - theta[0]) >= 2 * np.pi
+    xo, yo = x[outer], y[outer]
 
-        def residuals(c):
-            th, rad = _polar(xo, yo, c[0], c[1])
-            a, b = _line_fit(th, rad)
-            return rad - (a + b * th)
+    def residuals(c):
+        th, rad = _polar(xo, yo, c[0], c[1])
+        a, b = _line_fit(th, rad)
+        return rad - (a + b * th)
 
-        sol = least_squares(residuals, x0=[cx, cy], xtol=3e-16, ftol=3e-16,
-                            gtol=3e-16, diff_step=1e-6)
-        cx, cy = float(sol.x[0]), float(sol.x[1])
-        theta, r = _polar(x, y, cx, cy)
+    sol = least_squares(residuals, x0=[cx, cy], xtol=3e-16, ftol=3e-16,
+                        gtol=3e-16, diff_step=1e-6)
+    cx, cy = float(sol.x[0]), float(sol.x[1])
+    theta, r = _polar(x, y, cx, cy)
 
     near = r <= 1e-9 * max(float(r.max()), 1e-12)
     if near.mean() > 0.01:
@@ -134,39 +133,30 @@ def _ray_loop_widths(theta, r):
 _ZCR_BINS_PER_TURN = 36
 
 
-def zero_crossing_rate(trace: PolarTrace, residuals=None,
-                       on_residuals: bool = False) -> float:
+def zero_crossing_rate(trace: PolarTrace) -> float:
     """Sign-change rate of the first difference of the radial profile.
 
-    The default bins the profile into fixed 10-degree angle sectors
-    (anchored at the start angle, so the measure is rotation invariant),
-    averages r per sector and counts sign changes of the sector-to-sector
-    increments: an ideal spiral grows monotonically and scores 0, noisy
-    ones produce backward increments. The per-sample residual-difference
-    variant is available via ``on_residuals``.
+    The profile is binned into fixed 10-degree angle sectors (anchored at
+    the start angle, so the measure is rotation invariant), r is averaged
+    per sector and sign changes of the sector-to-sector increments are
+    counted: an ideal spiral grows monotonically and scores 0, noisy ones
+    produce backward increments.
     """
-    if on_residuals:
-        series = np.asarray(residuals, dtype=float)
-        n = len(series)
-    else:
-        width = 2 * np.pi / _ZCR_BINS_PER_TURN
-        idx = np.floor((trace.theta - trace.theta[0]) / width).astype(int)
-        idx -= idx.min()
-        sums = np.bincount(idx, weights=trace.r)
-        counts = np.bincount(idx)
-        occupied = counts > 0
-        series = sums[occupied] / counts[occupied]
-        n = len(series)
-    d = np.diff(series)
-    signs = np.sign(d)
+    width = 2 * np.pi / _ZCR_BINS_PER_TURN
+    idx = np.floor((trace.theta - trace.theta[0]) / width).astype(int)
+    idx -= idx.min()
+    sums = np.bincount(idx, weights=trace.r)
+    counts = np.bincount(idx)
+    occupied = counts > 0
+    series = sums[occupied] / counts[occupied]
+    signs = np.sign(np.diff(series))
     signs = signs[signs != 0]
-    if signs.size < 2 or n == 0:
+    if signs.size < 2:
         return 0.0
-    return float(np.count_nonzero(np.diff(signs) != 0) / n)
+    return float(np.count_nonzero(np.diff(signs) != 0) / len(series))
 
 
-def spiral_features(trace: PolarTrace, rec: InkRecording,
-                    zcr_on_residuals: bool = False) -> dict:
+def spiral_features(trace: PolarTrace, rec: InkRecording) -> dict:
     """The seven spiral features from the unwrapped polar profile."""
     theta, r = trace.theta, trace.r
     a, b = _line_fit(theta, r)
@@ -197,6 +187,5 @@ def spiral_features(trace: PolarTrace, rec: InkRecording,
         "spi": spi,
         "tightness": 1.0 / b,
         "width_var": width_var,
-        "zcr1": zero_crossing_rate(trace, residuals=resid,
-                                   on_residuals=zcr_on_residuals),
+        "zcr1": zero_crossing_rate(trace),
     }

@@ -1,8 +1,8 @@
-"""Core ink data model: samples, recordings, validation and stroke segmentation.
+"""Core ink data model: recordings, validation and stroke segmentation.
 
 A recording is stored as parallel numpy arrays (one per channel) so feature
-code can stay vectorized; ``InkSample`` is a per-row convenience view.
-Timestamps are always seconds. All objects are immutable after construction.
+code can stay vectorized. Timestamps are always seconds. All objects are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -29,17 +29,6 @@ class Task(str, Enum):
 class Surface(str, Enum):
     ON_SURFACE = "on_surface"
     IN_AIR = "in_air"
-
-
-@dataclass(frozen=True)
-class InkSample:
-    x: float
-    y: float
-    t: float
-    pen_status: int
-    pressure: float = 0.0
-    tilt: float = 0.0
-    azimuth: float = 0.0
 
 
 class InkRecording:
@@ -103,22 +92,6 @@ class InkRecording:
     @property
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0]) if len(self) else 0.0
-
-    def samples(self) -> list[InkSample]:
-        return [InkSample(self.x[i], self.y[i], self.t[i],
-                          int(self.pen_status[i]), self.pressure[i],
-                          self.tilt[i], self.azimuth[i])
-                for i in range(len(self))]
-
-    @classmethod
-    def from_samples(cls, samples, **kwargs) -> "InkRecording":
-        samples = list(samples)
-        return cls(x=[s.x for s in samples], y=[s.y for s in samples],
-                   t=[s.t for s in samples],
-                   pen_status=[s.pen_status for s in samples],
-                   pressure=[s.pressure for s in samples],
-                   tilt=[s.tilt for s in samples],
-                   azimuth=[s.azimuth for s in samples], **kwargs)
 
     def take(self, idx) -> "InkRecording":
         """Sub-recording at the given sample indices (metadata preserved)."""

@@ -5,13 +5,13 @@ evaluation and the label-permutation significance test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gbt
 from .errors import (ClassTooSmall, DegenerateProbs, EmptyMatrix,
-                     InvalidParams, SingleClass)
+                     GraphokitError, InvalidParams, SingleClass)
 from .gbt import PAPER_GRIDS, BoostedEnsemble, HyperParams
 from .table import FeatureTable
 
@@ -171,7 +171,8 @@ def random_search(table: FeatureTable, grids=None, iterations: int = 1000,
     """Uniform randomized search over the hyperparameter grids.
 
     Every trial is scored by mean BACC over the k*repeats CV splits at the
-    default 0.5 threshold; failed fits score 0; ties keep the earlier trial.
+    default 0.5 threshold; a trial whose fits raise a GraphokitError scores
+    0; ties keep the earlier trial.
     Returns (best HyperParams, best mean BACC).
     """
     if iterations < 1:
@@ -191,7 +192,7 @@ def random_search(table: FeatureTable, grids=None, iterations: int = 1000,
         params = HyperParams(seed=seed, **draw)
         try:
             score = cv_scores(X, y, params, splits)
-        except Exception:
+        except GraphokitError:
             score = 0.0
         if score > best_score:
             best_params, best_score = params, score
@@ -242,7 +243,6 @@ class EvaluationReport:
     probs: np.ndarray
     permutation_p: float = float("nan")
     search_bacc: float = float("nan")
-    extra: dict = field(default_factory=dict)
 
 
 def loocv_evaluate(table: FeatureTable, params: HyperParams,
@@ -284,7 +284,8 @@ def permutation_test(table: FeatureTable, observed_bacc: float,
 
     Each permutation re-runs the training-phase CV (same split structure,
     same hyperparameters) on shuffled labels; b counts permuted mean-BACC
-    scores >= the observed score.
+    scores >= the observed score. A permutation whose fits raise a
+    GraphokitError scores 0.
     """
     if m < 1:
         raise InvalidParams("need at least one permutation")
@@ -298,7 +299,7 @@ def permutation_test(table: FeatureTable, observed_bacc: float,
                                   seed=int(rng.integers(2 ** 31)))
         try:
             score = cv_scores(X, y_perm, params, splits)
-        except Exception:
+        except GraphokitError:
             score = 0.0
         if score >= observed_bacc - 1e-12:
             b += 1

@@ -22,7 +22,7 @@ from .errors import (FieldCountMismatch, FileMissing, MalformedHeader,
                      SampleCountMismatch)
 from .ink import InkRecording, Task
 
-# column positions of the canonical layout; remappable via `column_order`
+# column positions of the canonical layout
 SVC_FIELDS = ("x", "y", "t", "pen_status", "azimuth", "tilt", "pressure")
 
 HC = 0
@@ -30,8 +30,7 @@ LBD = 1
 LABEL_NAMES = {HC: "HC", LBD: "LBD"}
 
 
-def parse_svc(data, task=Task.OTHER, subject_id="",
-              column_order=SVC_FIELDS) -> InkRecording:
+def parse_svc(data, task=Task.OTHER, subject_id="") -> InkRecording:
     """Parse SVC text (str or bytes) into an :class:`InkRecording`."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -46,7 +45,7 @@ def parse_svc(data, task=Task.OTHER, subject_id="",
     if len(body) != n:
         raise SampleCountMismatch(f"header says {n} samples, found {len(body)}")
 
-    width = len(column_order)
+    width = len(SVC_FIELDS)
     rows = [ln.split() for ln in body]
     if any(len(fields) != width for fields in rows):
         _raise_first_bad_line(rows, width)
@@ -55,9 +54,7 @@ def parse_svc(data, task=Task.OTHER, subject_id="",
             rows)))).reshape(n, width)
     except ValueError:
         _raise_first_bad_line(rows, width)
-    cols = {name: np.empty(n) for name in SVC_FIELDS}
-    for j, name in enumerate(column_order):
-        cols[name][:] = values[:, j]
+    cols = dict(zip(SVC_FIELDS, values.T))
 
     return InkRecording(
         x=cols["x"], y=cols["y"], t=cols["t"] / 1000.0,

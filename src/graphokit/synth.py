@@ -16,11 +16,8 @@ import numpy as np
 
 from .errors import InvalidParams
 from .ink import InkRecording, Task
-from .svcio import (CohortManifest, ManifestEntry, save_manifest,
+from .svcio import (HC, LBD, CohortManifest, ManifestEntry, save_manifest,
                     serialize_svc)
-
-HC = 0
-LBD = 1
 
 
 @dataclass(frozen=True)

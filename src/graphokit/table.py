@@ -98,12 +98,6 @@ class FeatureTable:
                    values=np.array(rows, dtype=float).reshape(len(sids),
                                                               len(names)))
 
-    def select_subjects(self, idx) -> "FeatureTable":
-        idx = np.asarray(idx)
-        return FeatureTable(self.feature_names,
-                            tuple(self.subject_ids[i] for i in idx),
-                            self.labels[idx], self.values[idx])
-
 
 def combine_tasks(tables: dict) -> "FeatureTable":
     """Column-wise concatenation over the subject intersection.

@@ -2,13 +2,17 @@
 
 import csv
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphokit import __version__
-from graphokit.cli import PROFILES, RunConfig, main, run_json_payload
+from graphokit import __version__, cli
+from graphokit.cli import (ALL_TASKS, PROFILES, RunConfig, main,
+                           run_json_payload, run_training)
 from graphokit.gbt import PAPER_GRIDS
+from graphokit.pipeline import METRIC_NAMES
 from graphokit.table import FeatureTable
 
 
@@ -116,6 +120,57 @@ class TestTrain:
             "train", "--manifest", str(cohort_dir / "manifest.json"),
             "--out", str(tmp_path), "--iterations", "0"])
         assert result.exit_code != 0
+
+    def test_skipped_files_written_as_extract_writes_them(self, cohort_dir,
+                                                          tmp_path):
+        doc = json.loads((cohort_dir / "manifest.json").read_text())
+        for subject in doc["subjects"]:
+            subject["files"] = {task: str(cohort_dir / rel)
+                                for task, rel in subject["files"].items()}
+        doc["subjects"].append({"subject_id": "ghost", "label": "HC",
+                                "files": {"spiral": "ghost.svc"}})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "extract", "--manifest", str(manifest), "--out",
+            str(tmp_path / "features"), "--tasks", "spiral"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "train", "--manifest", str(manifest), "--out",
+            str(tmp_path / "run"), "--tasks", "spiral", "--iterations", "1",
+            "--permutations", "1", "--cv-repeats", "1", "--n-estimators",
+            "2"])
+        assert result.exit_code == 0, result.output
+        assert "1 warnings -> warnings.txt" in result.output
+        warned = (tmp_path / "run" / "warnings.txt").read_text()
+        assert warned.startswith("ghost/spiral: missing file ")
+        assert warned == (tmp_path / "features" / "warnings.txt").read_text()
+
+    def test_trains_on_the_tables_extract_writes(self, cohort_dir,
+                                                 features_dir, tmp_path,
+                                                 monkeypatch):
+        seen = {}
+
+        def fake_evaluate(table, task, **kwargs):
+            seen[task] = table
+            return SimpleNamespace(
+                roc=[(0.5, 1.0, 1.0), (1.5, 0.0, 0.0)], auc=0.5,
+                metrics=dict.fromkeys(METRIC_NAMES, 0.5), threshold=0.5,
+                permutation_p=1.0)
+
+        monkeypatch.setattr(cli, "evaluate_task", fake_evaluate)
+        run_training(RunConfig(manifest=str(cohort_dir / "manifest.json"),
+                               out=str(tmp_path)))
+        assert sorted(seen) == sorted((*ALL_TASKS, "combined"))
+        for task, table in seen.items():
+            written = FeatureTable.from_csv(features_dir /
+                                            f"features_{task}.csv")
+            assert table.feature_names == written.feature_names
+            assert table.subject_ids == written.subject_ids
+            np.testing.assert_array_equal(table.labels, written.labels)
+            # NaN where the CSV has NaN, every other value bit for bit
+            np.testing.assert_array_equal(table.values, written.values)
 
 
 class TestRunPayload:

@@ -114,8 +114,7 @@ class TestKinematic:
         t = np.sort(np.concatenate(([0.0, 1.0], 0.07 + 0.9
                                     * np.random.default_rng(3).random(20))))
         s = self._stroke(t ** 2, np.zeros(len(t)), t)
-        acc = kinematic_profile(s, Projection.HORIZONTAL, "acceleration",
-                                signed=True)
+        acc = kinematic_profile(s, Projection.HORIZONTAL, "acceleration")
         np.testing.assert_allclose(acc, 2.0, rtol=1e-9)
 
     def test_projections_unsigned_by_default(self):
@@ -124,9 +123,6 @@ class TestKinematic:
         vh = kinematic_profile(s, Projection.HORIZONTAL, "velocity")
         vv = kinematic_profile(s, Projection.VERTICAL, "velocity")
         assert np.all(vh > 0) and np.all(vv > 0)
-        sh = kinematic_profile(s, Projection.HORIZONTAL, "velocity",
-                               signed=True)
-        assert sh[1] < 0
 
     def test_too_short_gives_empty(self):
         t = np.arange(2) / 130.0
@@ -197,10 +193,8 @@ class TestSpatial:
         rec = make_recording([0, 1, 10, 30], [0, 0, 0, 0], pen=pen)
         on = spatial_features(rec, SurfaceScope.ON_SURFACE)
         air = spatial_features(rec, SurfaceScope.IN_AIR)
-        both = spatial_features(rec, SurfaceScope.BOTH)
         assert on["width"] == 1.0
         assert air["width"] == 20.0
-        assert both["width"] == 30.0
 
     def test_empty_scope(self):
         rec = make_recording([0, 1], [0, 0])
@@ -229,8 +223,8 @@ class TestSpatial:
     def test_translation_invariance(self, n, shift, seed):
         r = np.random.default_rng(seed)
         x, y = 100 * r.random(n), 100 * r.random(n)
-        a = spatial_features(make_recording(x, y), SurfaceScope.BOTH)
+        a = spatial_features(make_recording(x, y), SurfaceScope.ON_SURFACE)
         b = spatial_features(make_recording(x + shift, y + shift),
-                             SurfaceScope.BOTH)
+                             SurfaceScope.ON_SURFACE)
         for key in ("width", "height", "length"):
             assert a[key] == pytest.approx(b[key], abs=1e-6)

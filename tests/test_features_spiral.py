@@ -118,7 +118,7 @@ class TestFeatures:
         r = 100.0 - 4.5 * theta
         rec = make_recording(500 + r * np.cos(theta), 500 + r * np.sin(theta))
         with pytest.raises(FitFailure):
-            spiral_features(unwrap_polar(rec, refine_center=False), rec)
+            spiral_features(unwrap_polar(rec), rec)
 
     def test_zcr_increases_with_noise(self):
         quiet = unwrap_polar(gen_spiral(
@@ -126,9 +126,3 @@ class TestFeatures:
         loud = unwrap_polar(gen_spiral(
             profile=ImpairmentProfile(radial_noise_sigma=4.0, seed=3)))
         assert zero_crossing_rate(loud) > zero_crossing_rate(quiet)
-
-    def test_zcr_residual_variant(self):
-        trace = unwrap_polar(ideal_spiral())
-        resid = np.zeros(len(trace.r))
-        assert zero_crossing_rate(trace, residuals=resid,
-                                  on_residuals=True) == 0.0

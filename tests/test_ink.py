@@ -7,23 +7,14 @@ from hypothesis import strategies as st
 
 from graphokit.errors import (ChannelOutOfRange, EmptyRecording,
                               NonMonotoneTime)
-from graphokit.ink import (IN_AIR, ON_SURFACE, InkRecording, InkSample,
-                           Stroke, Surface, Task, in_air_strokes,
-                           on_surface_strokes, segment_strokes,
+from graphokit.ink import (IN_AIR, ON_SURFACE, Stroke, Surface, Task,
+                           in_air_strokes, on_surface_strokes, segment_strokes,
                            validate_recording)
 
 from conftest import make_recording
 
 
 class TestRecording:
-    def test_round_trip_through_samples(self):
-        rec = make_recording([1, 2, 3], [4, 5, 6],
-                             pressure=[100, 110, 120], tilt=[50, 51, 52],
-                             azimuth=[180, 181, 182])
-        again = InkRecording.from_samples(rec.samples(),
-                                          sampling_rate_hint=130.0)
-        assert again == rec
-
     def test_immutability(self):
         rec = make_recording([1, 2], [3, 4])
         with pytest.raises(AttributeError):
@@ -50,10 +41,6 @@ class TestRecording:
     def test_default_channels_are_zero(self):
         rec = make_recording([1, 2], [3, 4])
         assert rec.pressure.tolist() == [0.0, 0.0]
-
-    def test_sample_defaults(self):
-        s = InkSample(x=1.0, y=2.0, t=0.0, pen_status=1)
-        assert s.pressure == 0.0 and s.tilt == 0.0 and s.azimuth == 0.0
 
 
 class TestValidation:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphokit import gbt
 from graphokit.errors import (ClassTooSmall, DegenerateProbs, EmptyMatrix,
-                              InvalidParams, SingleClass)
+                              InvalidParams, NoUsableFeature, SingleClass)
 from graphokit.gbt import HyperParams
 from graphokit.pipeline import (ConfusionMatrix, auc_from_roc, auc_score,
                                 cv_probabilities, cv_scores, evaluate_task,
@@ -29,6 +30,13 @@ def tiny_table(n_hc=12, n_lbd=12, delta=0.0, seed=0, p=4):
         rows.append((f"p{i}", 1,
                      {f"f{j}": r.normal() + delta for j in range(p)}))
     return FeatureTable.from_rows(rows)
+
+
+def failing_fit(exc):
+    """A stand-in for ``gbt.fit`` that raises ``exc`` on every call."""
+    def fit(*args, **kwargs):
+        raise exc
+    return fit
 
 
 class TestConfusionMetrics:
@@ -235,6 +243,20 @@ class TestRandomSearch:
         with pytest.raises(InvalidParams):
             random_search(table, grids={"max_depth": ()}, iterations=1)
 
+    def test_failed_fit_scores_zero(self, monkeypatch):
+        monkeypatch.setattr(gbt, "fit", failing_fit(NoUsableFeature("x")))
+        params, score = random_search(tiny_table(),
+                                      grids={"max_depth": (1, 2)},
+                                      iterations=3, seed=0, k=4, repeats=1)
+        assert score == 0.0
+        assert params.max_depth in (1, 2)
+
+    def test_program_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(gbt, "fit", failing_fit(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            random_search(tiny_table(), grids={"max_depth": (1, 2)},
+                          iterations=3, seed=0, k=4, repeats=1)
+
 
 class TestLOOCV:
     def test_separable_is_perfect(self):
@@ -272,6 +294,20 @@ class TestPermutation:
     def test_requires_permutations(self):
         with pytest.raises(InvalidParams):
             permutation_test(tiny_table(), 0.5, HyperParams(), m=0)
+
+    @pytest.mark.parametrize("observed,p", [(0.0, 1.0), (1e-6, 0.1)])
+    def test_failed_fit_scores_zero(self, monkeypatch, observed, p):
+        # every shuffle scores 0: counted against observed 0, not against
+        # any positive score
+        monkeypatch.setattr(gbt, "fit", failing_fit(NoUsableFeature("x")))
+        assert permutation_test(tiny_table(), observed, HyperParams(),
+                                m=9, seed=0, k=4, repeats=1) == p
+
+    def test_program_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(gbt, "fit", failing_fit(RuntimeError("bug")))
+        with pytest.raises(RuntimeError, match="bug"):
+            permutation_test(tiny_table(), 0.5, HyperParams(), m=9, seed=0,
+                             k=4, repeats=1)
 
 
 class TestEvaluateTask:

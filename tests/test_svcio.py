@@ -82,11 +82,6 @@ class TestParse:
             parse_svc("2\n" + body)
         assert exc.value.line_no == line_no
 
-    def test_column_remap(self):
-        order = ("t", "x", "y", "pen_status", "azimuth", "tilt", "pressure")
-        rec = parse_svc("1\n1000 7 8 1 0 0 0\n", column_order=order)
-        assert rec.t[0] == 1.0 and rec.x[0] == 7.0 and rec.y[0] == 8.0
-
 
 class TestRoundTrip:
     def test_exact_round_trip(self):

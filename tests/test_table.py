@@ -54,13 +54,6 @@ class TestFeatureTable:
         with pytest.raises(GraphokitError):
             FeatureTable.from_csv(path)
 
-    def test_select_subjects(self):
-        table = small_table()
-        sub = table.select_subjects([2, 0])
-        assert sub.subject_ids == ("s3", "s1")
-        assert sub.labels.tolist() == [1, 0]
-        np.testing.assert_array_equal(sub.values, table.values[[2, 0]])
-
 
 class TestCombineTasks:
     def test_intersection_in_first_table_order(self):
