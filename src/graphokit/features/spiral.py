@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..errors import (DegenerateRadius, FitFailure, InsufficientLoops,
                       NoOnSurfaceSamples, NotASpiral)
@@ -54,6 +53,9 @@ def unwrap_polar(rec: InkRecording) -> PolarTrace:
     its counter-clockwise form). Raises NotASpiral when the unwrapped angle
     spans less than one full turn.
     """
+    # deferred: scipy.optimize loads only when a spiral is extracted
+    from scipy.optimize import least_squares
+
     mask = rec.pen_status == 1
     if not np.any(mask):
         raise NoOnSurfaceSamples("no on-surface samples")

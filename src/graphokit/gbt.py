@@ -58,8 +58,8 @@ class HyperParams:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise InvalidParams(f"{name} must be in (0, 1]")
-        if self.scale_pos_weight <= 0:
-            raise InvalidParams("scale_pos_weight must be > 0")
+        if self.scale_pos_weight <= 0 or self.lambda_l2 <= 0:
+            raise InvalidParams("scale_pos_weight and lambda_l2 must be > 0")
 
     def with_seed(self, seed: int) -> "HyperParams":
         return replace(self, seed=seed)

@@ -14,8 +14,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.special import ndtr, stdtr
-from scipy.stats import rankdata
 
 from .errors import ConstantInput, EmptyGroup, LengthMismatch
 
@@ -35,6 +33,23 @@ class TestResult:
     n1: int
     n2: int
     method: Method
+
+
+def rankdata(a) -> np.ndarray:
+    """Average ranks, 1-based: a tie group at sorted positions start..end-1
+    shares ``0.5 * (start + end + 1)``. Equal to ``scipy.stats.rankdata(a)``
+    bit for bit, including its default that any NaN makes every rank NaN."""
+    x = np.asarray(a, dtype=float)
+    n = len(x)
+    if np.isnan(x).any():
+        return np.full(n, np.nan)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def mann_whitney_u(a, b) -> TestResult:
@@ -75,6 +90,8 @@ def _exact_p(n1: int, n2: int, u_obs: float) -> float:
 
 
 def _normal_p(n1: int, n2: int, u: float, tie_counts) -> float:
+    from scipy.special import ndtr  # deferred: scipy loads only in screening
+
     n = n1 + n2
     mu = n1 * n2 / 2.0
     tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / (n * (n - 1))
@@ -104,6 +121,7 @@ def spearman_rho(x, y) -> TestResult:
     if abs(rho) == 1.0:
         p = 0.0
     else:
+        from scipy.special import stdtr
         t = rho * np.sqrt((n - 2) / (1.0 - rho ** 2))
         p = float(2.0 * stdtr(n - 2, -abs(t)))
     return TestResult(statistic=rho, p_value=p, n1=n, n2=n,

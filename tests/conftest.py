@@ -1,30 +1,5 @@
-"""Shared builders for hand-constructed recordings used across the suite."""
-
 import numpy as np
 import pytest
-
-from graphokit.ink import InkRecording, Task
-
-
-def make_recording(x, y, t=None, pen=None, rate=130.0, task=Task.OTHER,
-                   **channels):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    if t is None:
-        t = np.arange(n) / rate
-    if pen is None:
-        pen = np.ones(n, dtype=np.int8)
-    return InkRecording(x, y, np.asarray(t, dtype=float),
-                        np.asarray(pen, dtype=np.int8),
-                        sampling_rate_hint=rate, task=task, **channels)
-
-
-def make_line(n=50, speed=300.0, rate=130.0, pen=None):
-    """Straight diagonal stroke at constant speed (units/s)."""
-    t = np.arange(n) / rate
-    d = speed * t / np.sqrt(2.0)
-    return make_recording(100.0 + d, 100.0 + d, t=t, pen=pen, rate=rate)
 
 
 @pytest.fixture

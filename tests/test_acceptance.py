@@ -29,7 +29,7 @@ from graphokit.synth import (STRONG_DELTA, ImpairmentDelta,
 from graphokit.table import FeatureTable, combine_tasks
 from graphokit.cli import RunConfig, run_json_payload
 
-from conftest import make_recording
+from builders import make_recording
 from test_features_events import oracle_intersections, scripted_recording
 
 

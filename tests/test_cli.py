@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import graphokit
 from graphokit import __version__, cli
 from graphokit.cli import (ALL_TASKS, PROFILES, RunConfig, main,
                            run_json_payload, run_training)
@@ -194,3 +199,36 @@ class TestRunPayload:
         assert PROFILES["desk"]["permutations"] == 99
         payload = run_json_payload(RunConfig(profile="desk"))
         assert payload["protocol"]["permutations"] == 99
+
+
+# Run in a fresh interpreter, since this one has imported scipy already.
+STARTUP_PROBE = """
+import json, sys
+import graphokit.cli
+at_start = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import numpy as np
+from graphokit.features.spiral import unwrap_polar
+from graphokit.ink import InkRecording
+theta = np.linspace(0.0, 6 * np.pi, 1300)
+n = len(theta)
+unwrap_polar(InkRecording(500.0 + 5.0 * theta * np.cos(theta),
+                          500.0 + 5.0 * theta * np.sin(theta),
+                          np.arange(n) / 130.0, np.ones(n, dtype=np.int8),
+                          sampling_rate_hint=130.0))
+print(json.dumps([at_start, "scipy.optimize" in sys.modules]))
+"""
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # every command pays the import of graphokit.cli; scipy loads only
+        # where a command calls it, here when a spiral is unwrapped
+        src = str(Path(graphokit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        at_start, optimize_loaded = json.loads(out.stdout)
+        assert at_start == []
+        assert optimize_loaded

@@ -16,7 +16,7 @@ from graphokit.features.basic import (Aggregation, Projection, SurfaceScope,
                                       spatial_features, temporal_features)
 from graphokit.ink import on_surface_strokes, segment_strokes
 
-from conftest import make_recording
+from builders import make_recording
 
 
 class TestAggregate:

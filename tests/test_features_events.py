@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphokit.features.events import (count_intersections, count_pen_stops,
@@ -14,7 +14,7 @@ from graphokit.features.events import (count_intersections, count_pen_stops,
                                        velocity_profile_changes)
 from graphokit.ink import on_surface_strokes, segment_strokes
 
-from conftest import make_recording
+from builders import make_recording
 
 
 def scripted_recording(holds, rate=130.0, speed=500.0):
@@ -275,17 +275,22 @@ class TestEntropy:
         with pytest.raises(ValueError):
             shannon_entropy([])
 
-    @given(st.lists(st.floats(-100, 100), min_size=2, max_size=200),
-           st.integers(2, 32))
+    @given(series=st.lists(st.floats(-100, 100), min_size=2, max_size=200),
+           bins=st.integers(2, 32))
+    # within rounding of the edge 0.0: (v - lo) / width rounds up to bin 1
+    @example(series=[0.0, 1.0, -1.0, -1.2081715068811922e-150], bins=2)
     @settings(max_examples=60, deadline=None)
     def test_matches_counter_oracle(self, series, bins):
         lo, hi = min(series), max(series)
         if lo == hi:
             assert shannon_entropy(series, bins=bins) == 0.0
             return
-        width = (hi - lo) / bins
+        # numpy's documented rule: bin i is [edges[i], edges[i + 1]), the
+        # last bin also holds hi
+        edges = np.linspace(lo, hi, bins + 1)
         counts = Counter(
-            min(int((v - lo) / width), bins - 1) for v in series)
+            next(i for i in range(bins) if v < edges[i + 1] or i == bins - 1)
+            for v in series)
         n = len(series)
         expect = -sum((c / n) * math.log2(c / n) for c in counts.values())
         assert shannon_entropy(series, bins=bins) == pytest.approx(expect)

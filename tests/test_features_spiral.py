@@ -8,7 +8,7 @@ from graphokit.features.spiral import (PolarTrace, spiral_features,
                                        unwrap_polar, zero_crossing_rate)
 from graphokit.synth import ImpairmentProfile, gen_spiral
 
-from conftest import make_recording
+from builders import make_recording
 
 
 def ideal_spiral(b=5.0, turns=3.0, n=1300, center=(500.0, 500.0),

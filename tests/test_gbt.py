@@ -204,7 +204,8 @@ class TestParams:
         dict(learning_rate=0.0), dict(gamma=-0.1), dict(max_depth=0),
         dict(subsample=0.0), dict(subsample=1.5), dict(colsample_bytree=0.0),
         dict(min_child_weight=-1.0), dict(n_estimators=0),
-        dict(scale_pos_weight=0.0)])
+        dict(scale_pos_weight=0.0), dict(lambda_l2=0.0),
+        dict(lambda_l2=-1.0)])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParams):
             HyperParams(**bad)
@@ -409,15 +410,13 @@ def boosting_cases(draw):
         min_child_weight=draw(st.sampled_from((0.0, 0.1, 0.5, 1.0, 3.0))),
         scale_pos_weight=draw(st.sampled_from(
             PAPER_GRIDS["scale_pos_weight"])),
-        lambda_l2=draw(st.sampled_from((0.0, 1.0))),
+        lambda_l2=draw(st.sampled_from((0.01, 1.0))),
         n_estimators=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2 ** 16)))
     return X, y, params
 
 
 class TestPresortedSearchMatchesReference:
-    # lambda_l2 = 0 lets a leaf of saturated rows come out as 0/0
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @given(boosting_cases())
     @settings(max_examples=150, deadline=None)
     def test_identical_trees(self, case):

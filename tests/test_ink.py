@@ -11,7 +11,7 @@ from graphokit.ink import (IN_AIR, ON_SURFACE, Stroke, Surface, Task,
                            in_air_strokes, on_surface_strokes, segment_strokes,
                            validate_recording)
 
-from conftest import make_recording
+from builders import make_recording
 
 
 class TestRecording:

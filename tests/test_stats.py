@@ -5,12 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphokit.errors import ConstantInput, EmptyGroup, LengthMismatch
 from graphokit.stats import (Method, analyze_features, bh_adjust,
-                             mann_whitney_u, spearman_rho)
+                             mann_whitney_u, rankdata, spearman_rho)
 from graphokit.table import FeatureTable
 
 
@@ -33,6 +34,23 @@ def enumerate_exact_p(a, b):
         if u_stat(set(sel)) <= observed + 1e-9:
             hits += 1
     return hits / total
+
+
+class TestRankdata:
+    # a small pool makes ties likely; -0.0 ties with 0.0
+    @given(st.lists(st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf)),
+        st.floats(allow_nan=True)), max_size=40))
+    @example([])
+    @example([7.0])
+    @example([0.0, 2.0, 3.0, 2.0])
+    @example([1.0, np.nan, 0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, values):
+        ours, theirs = rankdata(values), scipy.stats.rankdata(values)
+        assert ours.dtype == theirs.dtype == np.float64
+        assert ours.shape == theirs.shape == (len(values),)
+        assert ours.tobytes() == theirs.tobytes()
 
 
 class TestMannWhitney:

@@ -13,7 +13,7 @@ from graphokit.svcio import (HC, LBD, CohortManifest, ManifestEntry,
                              load_cohort, load_manifest, parse_svc,
                              save_manifest, serialize_svc)
 
-from conftest import make_recording
+from builders import make_recording
 
 GOOD = "2\n100 200 1000 1 1800 600 512\n101 201 1008 0 1810 590 0\n"
 
