@@ -97,7 +97,8 @@ def _load_tables(manifest_path, tasks, strict):
 
 
 def _write_warnings(out: Path, problems, echo) -> None:
-    """Record the skipped subject-task files in ``<out>/warnings.txt``."""
+    """Record the skipped subject-task files, and the tasks whose threshold
+    could not be tuned, in ``<out>/warnings.txt``."""
     if problems:
         (out / "warnings.txt").write_text("\n".join(problems) + "\n")
         echo(f"{len(problems)} warnings -> warnings.txt")
@@ -179,7 +180,6 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
     tables, problems = _load_tables(config.manifest,
                                     base_tasks or list(ALL_TASKS),
                                     config.strict)
-    _write_warnings(out, problems, echo)
     if "combined" in config.tasks and len(tables) > 1:
         tables["combined"] = combine_tasks(tables)
     tables = {t: tables[t] for t in config.tasks if t in tables}
@@ -197,6 +197,9 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
             repeats=r["cv_repeats"], seed=config.seed,
             objective=config.threshold_objective)
         results[task] = report
+        if not report.threshold_tuned:
+            problems.append(f"{task}: all cross-validated probabilities "
+                            f"equal, threshold not tuned (0.5 used)")
         with open(out / f"roc_{task}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["threshold", "fpr", "tpr"])
@@ -205,6 +208,7 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
         _write_roc_svg(out / f"roc_{task}.svg", report.roc)
         echo(f"[{task}] BACC={report.metrics['BACC']:.4f} "
              f"AUC={report.auc:.4f} p={report.permutation_p:.4g}")
+    _write_warnings(out, problems, echo)
 
     with open(out / "report.csv", "w", newline="") as fh:
         w = csv.writer(fh)

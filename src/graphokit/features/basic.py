@@ -7,6 +7,7 @@ fixed rate. Projected velocities are magnitudes (|dx|/dt, |dy|/dt).
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -53,25 +54,56 @@ def _aggregations(v, hows=tuple(Aggregation)) -> dict:
     """The requested aggregations of a non-empty NaN-free vector."""
     out = {}
     if Aggregation.MEDIAN in hows or Aggregation.NCV in hows:
-        med = np.median(v)
+        med = _median(v)
     if Aggregation.NCV in hows or Aggregation.P95 in hows:
-        # one partition serves all three quantiles, each equal to its
-        # single-quantile value; the median stays np.median, whose midpoint
-        # average differs from np.percentile(v, 50) in the last bit
-        q25, q75, q95 = np.percentile(v, [25, 75, 95])
+        q25, q75, q95 = _percentiles(v, (0.25, 0.75, 0.95))
     for how in hows:
         if how is Aggregation.MEDIAN:
-            out[how] = float(med)
+            out[how] = med
         elif how is Aggregation.P95:
-            out[how] = float(q95)
+            out[how] = q95
         elif how is Aggregation.NCV:
-            out[how] = float("nan") if med == 0 else float((q75 - q25) / med)
+            out[how] = float("nan") if med == 0 else (q75 - q25) / med
         elif v.size < 2:
             out[how] = float("nan")
         else:  # slope: OLS of v against its 0-based index
             idx = np.arange(v.size, dtype=float)
             idx -= idx.mean()
             out[how] = float(idx @ (v - v.mean()) / (idx @ idx))
+    return out
+
+
+def _median(v) -> float:
+    """``np.median(v)``, bit for bit: numpy's partition at the same indices,
+    then ``np.mean`` of the middle slice (numpy's sum of -0.0 values is
+    +0.0, Python's is -0.0)."""
+    n = v.size
+    k = n // 2
+    odd = n % 2
+    part = np.partition(v, [k, -1] if odd else [k - 1, k, -1])
+    return float(np.mean(part[k - 1 + odd:k + 1]))
+
+
+def _percentiles(v, quantiles) -> list:
+    """``np.percentile(v, 100 * q)`` for each q, bit for bit: one partition
+    at numpy's index set, then numpy's linear rule in scalar arithmetic."""
+    n = v.size
+    bounds = []
+    for q in quantiles:
+        vi = (n - 1) * q
+        # at or past the last index numpy takes the maximum from both
+        # neighbours, index -1, and its weight stays vi - (-1)
+        lo = -1 if vi >= n - 1 else math.floor(vi)
+        hi = -1 if lo == -1 else lo + 1
+        bounds.append((vi, lo, hi))
+    kth = sorted({0, -1}.union(*((lo, hi) for _, lo, hi in bounds)))
+    part = np.partition(v, kth)
+    out = []
+    for vi, lo, hi in bounds:
+        a, b = float(part[lo]), float(part[hi])
+        t = vi - lo
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
     return out
 
 

@@ -8,6 +8,8 @@ crossings count, with collinear overlap counted once and tangency excluded.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DegenerateRecording
@@ -157,7 +159,19 @@ def shannon_entropy(series, bins: int = 16) -> float:
     lo, hi = float(series.min()), float(series.max())
     if lo == hi:
         return 0.0
-    counts, _ = np.histogram(series, bins=bins, range=(lo, hi))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range [{lo}, {hi}] is not finite")
+    # np.histogram(series, bins, range=(lo, hi))'s counts without its
+    # wrapper: the same rejected ranges, a scaled index, then numpy's
+    # correction of that index against the edges
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValueError(f"cannot make {bins} finite-sized bins")
+    idx = ((series - lo) / (hi - lo) * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    idx[series < edges[idx]] -= 1
+    idx[(series >= edges[idx + 1]) & (idx != bins - 1)] += 1
+    counts = np.bincount(idx, minlength=bins)
     p = counts[counts > 0] / series.size
     return float(-(p * np.log2(p)).sum())
 

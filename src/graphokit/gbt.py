@@ -96,14 +96,6 @@ class Tree:
         self.value.append(val)
         return len(self.feature) - 1
 
-    @property
-    def depth(self) -> int:
-        def d(node):
-            if self.feature[node] < 0:
-                return 0
-            return 1 + max(d(self.left[node]), d(self.right[node]))
-        return d(0) if self.feature else 0
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
         self._route(0, np.arange(len(X)), X, out)

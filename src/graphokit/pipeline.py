@@ -243,6 +243,7 @@ class EvaluationReport:
     probs: np.ndarray
     permutation_p: float = float("nan")
     search_bacc: float = float("nan")
+    threshold_tuned: bool = True
 
 
 def loocv_evaluate(table: FeatureTable, params: HyperParams,
@@ -310,14 +311,24 @@ def evaluate_task(table: FeatureTable, task: str = "", grids=None,
                   iterations: int = 1000, permutations: int = 1000,
                   k: int = 5, repeats: int = 10, seed: int = 0,
                   objective: str = "youden") -> EvaluationReport:
-    """Full per-task protocol: search, threshold tuning, LOOCV, permutation."""
+    """Full per-task protocol: search, threshold tuning, LOOCV, permutation.
+
+    When every cross-validated probability is equal (split-free models on a
+    weak task), there is no ROC to tune on: LOOCV runs at the default 0.5
+    threshold and the report's ``threshold_tuned`` is False.
+    """
     best_params, search_bacc = random_search(
         table, grids=grids, iterations=iterations, seed=seed, k=k,
         repeats=repeats)
     splits = stratified_kfold(table.labels, k=k, repeats=repeats, seed=seed)
     probs = cv_probabilities(table.values, table.labels, best_params, splits)
-    threshold = tune_threshold(probs, table.labels, objective=objective)
+    tuned = True
+    try:
+        threshold = tune_threshold(probs, table.labels, objective=objective)
+    except DegenerateProbs:
+        threshold, tuned = 0.5, False
     report = loocv_evaluate(table, best_params, threshold, task=task)
+    report.threshold_tuned = tuned
     report.search_bacc = search_bacc
     report.permutation_p = permutation_test(
         table, search_bacc, best_params, m=permutations, seed=seed + 1,

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (FieldCountMismatch, FileMissing, MalformedHeader,
-                     ManifestError, NonNumericField, ParseError,
-                     SampleCountMismatch)
+from .errors import (FieldCountMismatch, FileMissing, GraphokitError,
+                     MalformedHeader, ManifestError, NonNumericField,
+                     ParseError, SampleCountMismatch)
 from .ink import InkRecording, Task
 
 # column positions of the canonical layout
@@ -45,15 +45,9 @@ def parse_svc(data, task=Task.OTHER, subject_id="") -> InkRecording:
     if len(body) != n:
         raise SampleCountMismatch(f"header says {n} samples, found {len(body)}")
 
-    width = len(SVC_FIELDS)
-    rows = [ln.split() for ln in body]
-    if any(len(fields) != width for fields in rows):
-        _raise_first_bad_line(rows, width)
-    try:
-        values = np.array(list(map(float, itertools.chain.from_iterable(
-            rows)))).reshape(n, width)
-    except ValueError:
-        _raise_first_bad_line(rows, width)
+    values = _bulk_values(body, n) if n else None
+    if values is None:
+        values = _per_line_values(body, n)
     cols = dict(zip(SVC_FIELDS, values.T))
 
     return InkRecording(
@@ -63,6 +57,36 @@ def parse_svc(data, task=Task.OTHER, subject_id="") -> InkRecording:
         tilt=cols["tilt"] / 10.0,
         azimuth=cols["azimuth"] / 10.0,
         task=task, subject_id=subject_id)
+
+
+def _bulk_values(body, n):
+    """The ``(n, 7)`` field matrix in one ``np.loadtxt`` call, or None.
+
+    loadtxt converts each token with ``PyOS_string_to_double``, the function
+    behind ``float()``, and accepts a subset of ``float()``'s syntax, so any
+    result it gives equals the per-line path's. ``comments=None`` keeps a
+    ``#`` token a field. Whatever it rejects or reshapes (a wrong field
+    count, a ``\\r`` inside a line, ``1_0``, non-ASCII digits) goes back to
+    :func:`_per_line_values` for ``float()``'s value or its first bad line.
+    """
+    try:
+        values = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (n, len(SVC_FIELDS)) else None
+
+
+def _per_line_values(body, n):
+    """The ``(n, 7)`` field matrix with one ``float()`` per field."""
+    width = len(SVC_FIELDS)
+    rows = [ln.split() for ln in body]
+    if any(len(fields) != width for fields in rows):
+        _raise_first_bad_line(rows, width)
+    try:
+        return np.array(list(map(float, itertools.chain.from_iterable(
+            rows)))).reshape(n, width)
+    except ValueError:
+        _raise_first_bad_line(rows, width)
 
 
 def _raise_first_bad_line(rows, width):
@@ -159,8 +183,9 @@ def load_cohort(manifest: CohortManifest, strict: bool = False):
 
     Returns ``(per_task, warnings_list)`` where ``per_task`` maps task name
     to a list of ``(subject_id, label, InkRecording)`` in manifest order.
-    Subjects missing a task are omitted from that task with a warning record
-    (lenient mode) or raise (strict mode).
+    Subjects missing a task, or whose file cannot be read or parsed, are
+    omitted from that task with a warning record (lenient mode) or raise
+    (strict mode). Any other exception propagates.
     """
     per_task: dict[str, list] = {}
     problems: list[str] = []
@@ -178,7 +203,7 @@ def load_cohort(manifest: CohortManifest, strict: bool = False):
                     else Task.OTHER
                 rec = parse_svc(fpath.read_text(), task=task,
                                 subject_id=entry.subject_id)
-            except Exception as exc:
+            except (GraphokitError, OSError, UnicodeDecodeError) as exc:
                 if strict:
                     raise ParseError(f"{fpath}: {exc}") from exc
                 problems.append(f"{entry.subject_id}/{task_name}: "

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import graphokit
-from graphokit import __version__, cli
+from graphokit import __version__, cli, pipeline
 from graphokit.cli import (ALL_TASKS, PROFILES, RunConfig, main,
                            run_json_payload, run_training)
 from graphokit.gbt import PAPER_GRIDS
@@ -112,6 +112,27 @@ class TestTrain:
         payload = json.loads((out / "run.json").read_text())
         assert payload["protocol"]["search_iterations"] == 2
 
+    def test_untuned_threshold_is_a_warning(self, cohort_dir, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setattr(pipeline, "cv_probabilities",
+                            lambda X, y, params, splits: np.full(len(y), 0.5))
+        out = tmp_path / "run"
+        result = CliRunner().invoke(main, [
+            "train", "--manifest", str(cohort_dir / "manifest.json"),
+            "--out", str(out), "--tasks", "spiral", "--iterations", "1",
+            "--permutations", "1", "--cv-repeats", "1", "--n-estimators",
+            "2"])
+        assert result.exit_code == 0, result.output
+        assert "1 warnings -> warnings.txt" in result.output
+        assert (out / "warnings.txt").read_text() == (
+            "spiral: all cross-validated probabilities equal, threshold not "
+            "tuned (0.5 used)\n")
+        with open(out / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["task", *METRIC_NAMES, "threshold", "p",
+                                 "AUC"]
+        assert rows[0]["threshold"] == "0.5000"
+
     def test_evaluate_alias(self, cohort_dir, tmp_path):
         result = CliRunner().invoke(main, [
             "evaluate", "--manifest", str(cohort_dir / "manifest.json"),
@@ -162,7 +183,7 @@ class TestTrain:
             return SimpleNamespace(
                 roc=[(0.5, 1.0, 1.0), (1.5, 0.0, 0.0)], auc=0.5,
                 metrics=dict.fromkeys(METRIC_NAMES, 0.5), threshold=0.5,
-                permutation_p=1.0)
+                threshold_tuned=True, permutation_p=1.0)
 
         monkeypatch.setattr(cli, "evaluate_task", fake_evaluate)
         run_training(RunConfig(manifest=str(cohort_dir / "manifest.json"),

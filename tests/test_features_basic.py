@@ -1,16 +1,18 @@
 """Temporal/kinematic/dynamic/spatial features and the aggregations,
 checked against closed-form oracles."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from graphokit.errors import (DegenerateRecording, EmptyScope, EmptyVector,
                               NoOnSurfaceSamples)
 from graphokit.features.basic import (Aggregation, Projection, SurfaceScope,
-                                      aggregate, aggregate_all,
+                                      _aggregations, aggregate, aggregate_all,
                                       dynamic_features, kinematic_profile,
                                       kinematic_vector, path_length,
                                       spatial_features, temporal_features)
@@ -19,7 +21,58 @@ from graphokit.ink import on_surface_strokes, segment_strokes
 from builders import make_recording
 
 
+# Slow reference: the aggregations as they stood before the hand-made
+# partitions, through np.median and np.percentile, kept verbatim so the fast
+# path can be held to the same bits.
+def reference_aggregations(v, hows=tuple(Aggregation)) -> dict:
+    out = {}
+    if Aggregation.MEDIAN in hows or Aggregation.NCV in hows:
+        med = np.median(v)
+    if Aggregation.NCV in hows or Aggregation.P95 in hows:
+        q25, q75, q95 = np.percentile(v, [25, 75, 95])
+    for how in hows:
+        if how is Aggregation.MEDIAN:
+            out[how] = float(med)
+        elif how is Aggregation.P95:
+            out[how] = float(q95)
+        elif how is Aggregation.NCV:
+            out[how] = float("nan") if med == 0 else float((q75 - q25) / med)
+        elif v.size < 2:
+            out[how] = float("nan")
+        else:  # slope: OLS of v against its 0-based index
+            idx = np.arange(v.size, dtype=float)
+            idx -= idx.mean()
+            out[how] = float(idx @ (v - v.mean()) / (idx @ idx))
+    return out
+
+
+# signed zeros, infinities, subnormals and the extremes, drawn often enough
+# to tie; the ordinary values are mostly small integers for the same reason
+EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+AGG_VALUES = st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.integers(-3, 3).map(float),
+                       st.floats(allow_nan=False))
+
+
 class TestAggregate:
+    @given(st.one_of(st.lists(AGG_VALUES, min_size=1, max_size=2),
+                     st.lists(AGG_VALUES, min_size=1, max_size=40)))
+    # numpy's P95 of [-0.0] is -0.0: at the last index its weight is 1
+    @example([-0.0])
+    # the sign of a ±0 upper neighbour depends on numpy's partition
+    @example([-1.0, -0.0, -1.0, 0.0, -1.0, -0.0])
+    @settings(max_examples=400, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_reference_bit_for_bit(self, v):
+        v = np.array(v)
+        got = _aggregations(v)
+        expect = reference_aggregations(v)
+        assert {how: np.float64(x).tobytes() for how, x in got.items()} == \
+            {how: np.float64(x).tobytes() for how, x in expect.items()}
+
+
     def test_reference_vector(self):
         v = [1.0, 2.0, 3.0, 4.0]
         assert aggregate(v, Aggregation.MEDIAN) == 2.5

@@ -263,7 +263,46 @@ class TestIntersections:
             assert got == oracle_intersections(strokes, mode), mode
 
 
+# Slow reference: shannon_entropy as it stood before its histogram counts
+# were taken without np.histogram's wrapper, kept verbatim.
+def reference_shannon_entropy(series, bins: int = 16) -> float:
+    series = np.asarray(series, dtype=float)
+    if series.size == 0:
+        raise ValueError("empty series")
+    lo, hi = float(series.min()), float(series.max())
+    if lo == hi:
+        return 0.0
+    counts, _ = np.histogram(series, bins=bins, range=(lo, hi))
+    p = counts[counts > 0] / series.size
+    return float(-(p * np.log2(p)).sum())
+
+
+def entropy_outcome(entropy, series, bins):
+    try:
+        return np.float64(entropy(series, bins=bins)).tobytes()
+    except ValueError as exc:
+        return type(exc)
+
+
+ENTROPY_VALUES = st.one_of(
+    st.floats(-1e3, 1e3), st.integers(-3, 3).map(float), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]))
+
+
 class TestEntropy:
+    @given(series=st.lists(ENTROPY_VALUES, min_size=1, max_size=120),
+           bins=st.sampled_from([2, 3, 7, 16, 32]))
+    # the bins' width underflows to 0: numpy rejects that range
+    @example(series=[0.0, 5e-324], bins=16)
+    # the width overflows: np.histogram rejects it as well
+    @example(series=[-1e308, 1e308], bins=16)
+    @example(series=[1.0, math.inf], bins=16)
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matches_reference_bit_for_bit(self, series, bins):
+        assert entropy_outcome(shannon_entropy, series, bins) == \
+            entropy_outcome(reference_shannon_entropy, series, bins)
+
     def test_constant_series_zero(self):
         assert shannon_entropy([3.0, 3.0, 3.0]) == 0.0
 

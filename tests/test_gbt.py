@@ -29,6 +29,14 @@ def walk(tree, row):
     return tree.value[node]
 
 
+def tree_depth(tree, node=0):
+    """Longest root-to-leaf path, in splits, of the flat node arrays."""
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]),
+                   tree_depth(tree, tree.right[node]))
+
+
 def oracle_margin(model, X):
     out = np.full(len(X), model.base_score_logit)
     for tree in model.trees:
@@ -192,11 +200,15 @@ class TestTree:
     def test_depth(self):
         t = Tree()
         t.add_leaf(0.0)
-        assert t.depth == 0
+        assert tree_depth(t) == 0
         t2 = Tree()
         root = t2.add_split(0, 1.0, False)
         t2.left[root], t2.right[root] = t2.add_leaf(0.0), t2.add_leaf(1.0)
-        assert t2.depth == 1
+        assert tree_depth(t2) == 1
+        right = t2.add_split(0, 2.0, False)
+        t2.right[root] = right
+        t2.left[right], t2.right[right] = t2.add_leaf(0.0), t2.add_leaf(1.0)
+        assert tree_depth(t2) == 2
 
 
 class TestParams:
@@ -295,7 +307,7 @@ class TestTraining:
         X, y = two_moons(120, seed=8)
         for depth in (1, 2, 4):
             model = fit(X, y, HyperParams(n_estimators=10, max_depth=depth))
-            assert all(t.depth <= depth for t in model.trees)
+            assert all(tree_depth(t) <= depth for t in model.trees)
 
     def test_probabilities_bounded(self):
         X, y = two_moons(100, seed=2)

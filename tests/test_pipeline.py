@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphokit import gbt
+from graphokit import gbt, pipeline
 from graphokit.errors import (ClassTooSmall, DegenerateProbs, EmptyMatrix,
                               InvalidParams, NoUsableFeature, SingleClass)
 from graphokit.gbt import HyperParams
@@ -321,3 +321,20 @@ class TestEvaluateTask:
         assert report.search_bacc == 1.0
         assert report.permutation_p <= 0.2
         assert 0.0 < report.threshold < 1.0
+        assert report.threshold_tuned
+
+    def test_constant_probabilities_fall_back_to_half(self, monkeypatch):
+        # split-free models give every subject the same held-out
+        # probability; tune_threshold raises on them, evaluate_task must not
+        monkeypatch.setattr(pipeline, "cv_probabilities",
+                            lambda X, y, params, splits: np.full(len(y), 0.3))
+        table = tiny_table(n_hc=8, n_lbd=8, delta=6.0, seed=8)
+        report = evaluate_task(table, task="demo",
+                               grids={"max_depth": (1,),
+                                      "n_estimators": (5,)},
+                               iterations=1, permutations=3, k=4, repeats=1)
+        assert report.threshold == 0.5
+        assert report.threshold_tuned is False
+        at_half = loocv_evaluate(table, report.params, 0.5, task="demo")
+        assert report.confusion == at_half.confusion
+        assert 0.0 < report.permutation_p <= 1.0

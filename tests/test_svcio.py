@@ -1,21 +1,83 @@
 """SVC parsing/serialization and cohort manifest handling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphokit import svcio
 from graphokit.errors import (FieldCountMismatch, FileMissing,
-                              MalformedHeader, ManifestError, NonNumericField,
-                              ParseError, SampleCountMismatch)
-from graphokit.ink import Task
-from graphokit.svcio import (HC, LBD, CohortManifest, ManifestEntry,
-                             load_cohort, load_manifest, parse_svc,
-                             save_manifest, serialize_svc)
+                              GraphokitError, MalformedHeader, ManifestError,
+                              NonNumericField, ParseError,
+                              SampleCountMismatch)
+from graphokit.ink import InkRecording, Task
+from graphokit.svcio import (HC, LBD, SVC_FIELDS, CohortManifest,
+                             ManifestEntry, load_cohort, load_manifest,
+                             parse_svc, save_manifest, serialize_svc)
 
 from builders import make_recording
 
 GOOD = "2\n100 200 1000 1 1800 600 512\n101 201 1008 0 1810 590 0\n"
+
+
+# Slow reference: parse_svc as it stood before the bulk conversion, one
+# float() per field, kept verbatim so the fast path can be held to the same
+# values and the same first-bad-line errors.
+def reference_parse_svc(data, task=Task.OTHER, subject_id=""):
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    lines = data.replace("\r\n", "\n").strip("\n").split("\n")
+    if not lines or not lines[0].strip():
+        raise MalformedHeader("missing header line")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise MalformedHeader(f"header is not an integer: {lines[0]!r}")
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != n:
+        raise SampleCountMismatch(f"header says {n} samples, found {len(body)}")
+
+    width = len(SVC_FIELDS)
+    rows = [ln.split() for ln in body]
+    if any(len(fields) != width for fields in rows):
+        reference_raise_first_bad_line(rows, width)
+    try:
+        values = np.array(list(map(float, itertools.chain.from_iterable(
+            rows)))).reshape(n, width)
+    except ValueError:
+        reference_raise_first_bad_line(rows, width)
+    cols = dict(zip(SVC_FIELDS, values.T))
+
+    return InkRecording(
+        x=cols["x"], y=cols["y"], t=cols["t"] / 1000.0,
+        pen_status=cols["pen_status"].astype(np.int8),
+        pressure=cols["pressure"],
+        tilt=cols["tilt"] / 10.0,
+        azimuth=cols["azimuth"] / 10.0,
+        task=task, subject_id=subject_id)
+
+
+def reference_raise_first_bad_line(rows, width):
+    for i, fields in enumerate(rows):
+        if len(fields) != width:
+            raise FieldCountMismatch(i + 2)
+        for raw in fields:
+            try:
+                float(raw)
+            except ValueError:
+                raise NonNumericField(i + 2, f"line {i + 2}: bad field {raw!r}")
+
+
+def parse_outcome(parse, text):
+    """Every channel's bytes, or the error class and its line number."""
+    try:
+        rec = parse(text)
+    except GraphokitError as exc:
+        return type(exc), getattr(exc, "line_no", None)
+    return tuple(getattr(rec, chan).tobytes() for chan in (
+        "x", "y", "t", "pen_status", "azimuth", "tilt", "pressure"))
 
 
 def reference_serialize_svc(rec):
@@ -81,6 +143,103 @@ class TestParse:
         with pytest.raises(error) as exc:
             parse_svc("2\n" + body)
         assert exc.value.line_no == line_no
+
+
+# tokens that float() reads but the bulk conversion rejects (underscores,
+# non-ASCII digits), that nobody reads (#, hex, a bare sign), and edge values
+ODD_TOKENS = ["1_0", "\u0661", "\u0663.\u0665", "#", "0x1", "-", "x", "nan",
+              "-nan", "inf", "-Infinity", "-0", "+.5", "5.", "1e500",
+              "4.9e-324", "1e-400"]
+NUMBERS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# separators str.split() splits on, "\r" among them (only "\r\n" is a
+# line break to parse_svc)
+SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\f", "\x0b", "\x1c",
+                              "\xa0", "\u3000", "\r"])
+BLANK_LINES = st.sampled_from(["", "  ", "\t", "\f", "\r", "\x0b"])
+
+
+@st.composite
+def fuzzed_svc(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.sampled_from([7, 7, 7, 6, 8]))
+        clean = draw(st.booleans())
+        tokens = draw(st.lists(
+            NUMBERS if clean else st.one_of(NUMBERS,
+                                            st.sampled_from(ODD_TOKENS)),
+            min_size=width, max_size=width))
+        seps = draw(st.lists(SEPARATORS, min_size=width + 1,
+                             max_size=width + 1))
+        lead, *inner, trail = seps
+        if draw(st.booleans()):
+            lead = trail = ""
+        lines.append(lead + "".join(
+            tok + sep for tok, sep in zip(tokens, inner + [""])) + trail)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(BLANK_LINES))
+    n = sum(1 for ln in lines if ln.strip()) + draw(st.sampled_from(
+        [0, 0, 0, 0, 1]))
+    return "\n".join([str(n)] + lines) + draw(st.sampled_from(
+        ["\n", "", "\r\n", "\n\n"]))
+
+
+# a NaN pen status casts to int8 with a RuntimeWarning on both paths
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+class TestBulkParse:
+    @pytest.mark.parametrize("text", [
+        "0\n", "0", "1\n1 2 3 1 4 5 6\n",
+        "1\n1_0 2 3 1 4 5 6\n",                      # underscore digits
+        "1\n\u0661 2 3 1 4 5 6\n",                   # Arabic-Indic digit
+        "2\n1 2 3 1 4 5 6\n# 2 3 1 4 5 6\n",         # no comments
+        "1\n1 2 3 1 4 5 6 # 8\n",
+        "1\n1 2 3\r1 4 5 6\n",                       # \r inside a line
+        "1\n1 2 3 1 4 5 6\r\n",
+        "2\n1 2 3 1 4 5 6\n   \n\t\n7 8 9 0 1 2 3\n",  # blank lines
+        "1\n1\f2\x0b3 1 4 5 6\n",                    # form feed, vtab
+        "2\n1 2 3 1 4 5 6\n1 2 3 1 4 5 6 7\n",       # field count
+        "2\n1 2 x 1 4 5 6\n1 2 3 1 4 5\n",           # first bad line
+        "1\nnan inf -inf 1 -0 1e500 4.9e-324\n"])
+    # loadtxt warns on empty input, so parse_svc must not call it there
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_pinned_bodies_match_reference(self, text):
+        assert parse_outcome(parse_svc, text) == \
+            parse_outcome(reference_parse_svc, text)
+
+    @given(fuzzed_svc())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_bodies_match_reference(self, text):
+        assert parse_outcome(parse_svc, text) == \
+            parse_outcome(reference_parse_svc, text)
+
+    @given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_recordings_match_reference(self, n, seed):
+        r = np.random.default_rng(seed)
+        rec = make_recording(
+            2000 * r.random(n), 2000 * r.random(n),
+            t=np.sort(r.random(n)) + np.arange(n) * 1e-3,
+            pen=r.integers(0, 2, n), pressure=1024 * r.random(n),
+            tilt=90 * r.random(n), azimuth=360 * r.random(n) % 360)
+        text = serialize_svc(rec)
+        assert parse_outcome(parse_svc, text) == \
+            parse_outcome(reference_parse_svc, text)
+
+    def test_clean_body_takes_the_bulk_path(self, monkeypatch):
+        def per_line(body, n):
+            raise AssertionError("per-line path taken")
+
+        monkeypatch.setattr(svcio, "_per_line_values", per_line)
+        assert parse_outcome(parse_svc, GOOD) == \
+            parse_outcome(reference_parse_svc, GOOD)
+        body = GOOD.split("\n")[1:3]
+        np.testing.assert_array_equal(
+            svcio._bulk_values(body, 2),
+            [[100, 200, 1000, 1, 1800, 600, 512],
+             [101, 201, 1008, 0, 1810, 590, 0]])
+        assert svcio._bulk_values(["1_0 2 3 1 4 5 6"], 1) is None
+        assert svcio._bulk_values(["1 2 3 1 4 5"], 1) is None
 
 
 class TestRoundTrip:
@@ -219,6 +378,29 @@ class TestLoadCohort:
             ManifestEntry("a", HC, {"spiral": "gone.svc"}),), root=tmp_path)
         with pytest.raises(FileMissing):
             load_cohort(m, strict=True)
+
+    def test_malformed_file_lenient_becomes_a_problem(self, tmp_path):
+        self._write(tmp_path, "a.svc")
+        self._write(tmp_path, "bad.svc", "2\n1 2 3 1 4 5 6\n")
+        m = CohortManifest(entries=(
+            ManifestEntry("a", HC, {"spiral": "a.svc"}),
+            ManifestEntry("b", LBD, {"spiral": "bad.svc"})), root=tmp_path)
+        with pytest.warns(UserWarning):
+            per_task, problems = load_cohort(m)
+        assert [sid for sid, _, _ in per_task["spiral"]] == ["a"]
+        assert len(problems) == 1
+        assert problems[0].startswith("b/spiral: parse failed (")
+
+    def test_program_errors_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        self._write(tmp_path, "a.svc")
+        monkeypatch.setattr(svcio, "parse_svc", broken)
+        m = CohortManifest(entries=(
+            ManifestEntry("a", HC, {"spiral": "a.svc"}),), root=tmp_path)
+        with pytest.raises(RuntimeError, match="bug"):
+            load_cohort(m)
 
     def test_malformed_file_strict_raises(self, tmp_path):
         self._write(tmp_path, "bad.svc", "not an svc\n")
