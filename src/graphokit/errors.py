@@ -45,6 +45,12 @@ class NonNumericField(GraphokitError):
         self.line_no = line_no
 
 
+class PenStatusOutOfRange(GraphokitError):
+    def __init__(self, line_no, message=""):
+        super().__init__(message or f"pen status not 0 or 1 on line {line_no}")
+        self.line_no = line_no
+
+
 class FileMissing(GraphokitError):
     pass
 

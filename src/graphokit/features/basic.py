@@ -46,31 +46,23 @@ def aggregate(v, how: Aggregation) -> float:
     v = v[~np.isnan(v)]
     if v.size == 0:
         raise EmptyVector("cannot aggregate an empty vector")
-    how = Aggregation(how)
-    return _aggregations(v, (how,))[how]
+    return _aggregations(v)[Aggregation(how)]
 
 
-def _aggregations(v, hows=tuple(Aggregation)) -> dict:
-    """The requested aggregations of a non-empty NaN-free vector."""
-    out = {}
-    if Aggregation.MEDIAN in hows or Aggregation.NCV in hows:
-        med = _median(v)
-    if Aggregation.NCV in hows or Aggregation.P95 in hows:
-        q25, q75, q95 = _percentiles(v, (0.25, 0.75, 0.95))
-    for how in hows:
-        if how is Aggregation.MEDIAN:
-            out[how] = med
-        elif how is Aggregation.P95:
-            out[how] = q95
-        elif how is Aggregation.NCV:
-            out[how] = float("nan") if med == 0 else (q75 - q25) / med
-        elif v.size < 2:
-            out[how] = float("nan")
-        else:  # slope: OLS of v against its 0-based index
-            idx = np.arange(v.size, dtype=float)
-            idx -= idx.mean()
-            out[how] = float(idx @ (v - v.mean()) / (idx @ idx))
-    return out
+def _aggregations(v) -> dict:
+    """All four aggregations of a non-empty NaN-free vector."""
+    med = _median(v)
+    q25, q75, q95 = _percentiles(v, (0.25, 0.75, 0.95))
+    if v.size < 2:
+        slope = float("nan")
+    else:  # OLS of v against its 0-based index
+        idx = np.arange(v.size, dtype=float)
+        idx -= idx.mean()
+        slope = float(idx @ (v - v.mean()) / (idx @ idx))
+    return {Aggregation.MEDIAN: med,
+            Aggregation.NCV: float("nan") if med == 0 else (q75 - q25) / med,
+            Aggregation.SLOPE: slope,
+            Aggregation.P95: q95}
 
 
 def _median(v) -> float:

@@ -15,7 +15,7 @@ fitting is fully deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -116,29 +116,16 @@ class Tree:
                 "missing_left": self.missing_left, "left": self.left,
                 "right": self.right, "value": self.value}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        tree = cls()
-        tree.feature = [int(v) for v in d["feature"]]
-        tree.threshold = [float(v) for v in d["threshold"]]
-        tree.missing_left = [bool(v) for v in d["missing_left"]]
-        tree.left = [int(v) for v in d["left"]]
-        tree.right = [int(v) for v in d["right"]]
-        tree.value = [float(v) for v in d["value"]]
-        return tree
-
 
 @dataclass
 class BoostedEnsemble:
     trees: list
     params: HyperParams
     feature_names: tuple
-    base_score_logit: float = 0.0
-    decision_threshold: float = 0.5
 
     def predict_margin(self, X) -> np.ndarray:
         X = _as_matrix(X, len(self.feature_names))
-        margin = np.full(len(X), self.base_score_logit)
+        margin = np.zeros(len(X))
         for tree in self.trees:
             margin += self.params.learning_rate * tree.predict(X)
         return margin
@@ -147,25 +134,14 @@ class BoostedEnsemble:
         return _sigmoid(self.predict_margin(X))
 
     def predict(self, X) -> np.ndarray:
-        return (self.predict_proba(X) >= self.decision_threshold).astype(int)
+        return (self.predict_proba(X) >= 0.5).astype(int)
 
     def to_json(self) -> str:
         doc = {"format": "graphokit-gbt-1",
                "params": asdict(self.params),
                "feature_names": list(self.feature_names),
-               "base_score_logit": self.base_score_logit,
-               "decision_threshold": self.decision_threshold,
                "trees": [t.to_dict() for t in self.trees]}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoostedEnsemble":
-        doc = json.loads(text)
-        return cls(trees=[Tree.from_dict(t) for t in doc["trees"]],
-                   params=HyperParams(**doc["params"]),
-                   feature_names=tuple(doc["feature_names"]),
-                   base_score_logit=float(doc["base_score_logit"]),
-                   decision_threshold=float(doc["decision_threshold"]))
 
 
 def _sigmoid(z):
@@ -188,7 +164,7 @@ def log_loss(y, prob) -> float:
     return float(-np.mean(y * np.log(prob) + (1 - y) * np.log(1 - prob)))
 
 
-def fit(X, y, params: HyperParams, feature_names=None) -> BoostedEnsemble:
+def fit(X, y, params: HyperParams) -> BoostedEnsemble:
     """Train an ensemble; deterministic given (X, y, params)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -201,8 +177,6 @@ def fit(X, y, params: HyperParams, feature_names=None) -> BoostedEnsemble:
         raise SingleClass("both classes must be present")
     if p == 0 or not np.any(np.isfinite(X)):
         raise NoUsableFeature("no finite feature values")
-    if feature_names is None:
-        feature_names = tuple(f"f{j}" for j in range(p))
 
     rng = np.random.default_rng(params.seed)
     w = np.where(y == 1, params.scale_pos_weight, 1.0)
@@ -228,7 +202,7 @@ def fit(X, y, params: HyperParams, feature_names=None) -> BoostedEnsemble:
         margin += params.learning_rate * tree.predict(X)
 
     return BoostedEnsemble(trees=trees, params=params,
-                           feature_names=tuple(feature_names))
+                           feature_names=tuple(f"f{j}" for j in range(p)))
 
 
 def _grow_tree(X, order, sorted_x, g, h, rows, tree_cols,

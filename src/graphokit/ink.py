@@ -35,14 +35,11 @@ class InkRecording:
     """Immutable timestamped pen-sample sequence with channel data."""
 
     __slots__ = ("x", "y", "t", "pen_status", "pressure", "tilt", "azimuth",
-                 "sampling_rate_hint", "task", "subject_id", "meta")
+                 "task", "subject_id", "meta")
 
     def __init__(self, x, y, t, pen_status, pressure=None, tilt=None,
-                 azimuth=None, sampling_rate_hint=130.0, task=Task.OTHER,
-                 subject_id="", meta=None):
+                 azimuth=None, task=Task.OTHER, subject_id="", meta=None):
         n = len(t)
-        if sampling_rate_hint <= 0:
-            raise ValueError("sampling_rate_hint must be positive")
 
         def _chan(a, default=0.0):
             if a is None:
@@ -64,7 +61,6 @@ class InkRecording:
         object.__setattr__(self, "pressure", _chan(pressure))
         object.__setattr__(self, "tilt", _chan(tilt))
         object.__setattr__(self, "azimuth", _chan(azimuth))
-        object.__setattr__(self, "sampling_rate_hint", float(sampling_rate_hint))
         object.__setattr__(self, "task", Task(task))
         object.__setattr__(self, "subject_id", str(subject_id))
         object.__setattr__(self, "meta", dict(meta) if meta else {})
@@ -85,22 +81,12 @@ class InkRecording:
                 and np.array_equal(self.pressure, other.pressure)
                 and np.array_equal(self.tilt, other.tilt)
                 and np.array_equal(self.azimuth, other.azimuth)
-                and self.sampling_rate_hint == other.sampling_rate_hint
                 and self.task == other.task
                 and self.subject_id == other.subject_id)
 
     @property
     def duration(self) -> float:
         return float(self.t[-1] - self.t[0]) if len(self) else 0.0
-
-    def take(self, idx) -> "InkRecording":
-        """Sub-recording at the given sample indices (metadata preserved)."""
-        return InkRecording(self.x[idx], self.y[idx], self.t[idx],
-                            self.pen_status[idx], self.pressure[idx],
-                            self.tilt[idx], self.azimuth[idx],
-                            sampling_rate_hint=self.sampling_rate_hint,
-                            task=self.task, subject_id=self.subject_id,
-                            meta=self.meta)
 
 
 @dataclass(frozen=True)
@@ -111,14 +97,10 @@ class Stroke:
     start: int
     stop: int  # exclusive
     surface: Surface
-    index: int
 
     @property
     def n(self) -> int:
         return self.stop - self.start
-
-    def __len__(self):
-        return self.n
 
     @property
     def on_surface(self) -> bool:
@@ -135,18 +117,6 @@ class Stroke:
     @property
     def t(self):
         return self.recording.t[self.start:self.stop]
-
-    @property
-    def pressure(self):
-        return self.recording.pressure[self.start:self.stop]
-
-    @property
-    def tilt(self):
-        return self.recording.tilt[self.start:self.stop]
-
-    @property
-    def azimuth(self):
-        return self.recording.azimuth[self.start:self.stop]
 
     @property
     def duration(self) -> float:
@@ -177,9 +147,8 @@ def validate_recording(raw: InkRecording, strict: bool = False) -> InkRecording:
     keep[:-1] = np.diff(t) > 0
     idx = order[keep]
 
-    rec = raw.take(idx)
-    pen = np.asarray(rec.pen_status)
-    pressure, tilt, azimuth = rec.pressure, rec.tilt, rec.azimuth
+    pen = raw.pen_status[idx]
+    pressure, tilt, azimuth = raw.pressure[idx], raw.tilt[idx], raw.azimuth[idx]
 
     bad_pen = ~np.isin(pen, (0, 1))
     bad_pressure = pressure < 0
@@ -199,10 +168,9 @@ def validate_recording(raw: InkRecording, strict: bool = False) -> InkRecording:
         tilt = np.clip(tilt, 0.0, 90.0)
         azimuth = np.mod(azimuth, 360.0)
 
-    return InkRecording(rec.x, rec.y, rec.t, pen, pressure, tilt, azimuth,
-                        sampling_rate_hint=rec.sampling_rate_hint,
-                        task=rec.task, subject_id=rec.subject_id,
-                        meta=rec.meta)
+    return InkRecording(raw.x[idx], raw.y[idx], raw.t[idx], pen, pressure, tilt,
+                        azimuth, task=raw.task, subject_id=raw.subject_id,
+                        meta=raw.meta)
 
 
 def segment_strokes(rec: InkRecording) -> list[Stroke]:
@@ -214,9 +182,9 @@ def segment_strokes(rec: InkRecording) -> list[Stroke]:
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [len(rec)]))
     strokes = []
-    for i, (a, b) in enumerate(zip(starts, stops)):
+    for a, b in zip(starts, stops):
         surface = Surface.ON_SURFACE if pen[a] == ON_SURFACE else Surface.IN_AIR
-        strokes.append(Stroke(rec, int(a), int(b), surface, i))
+        strokes.append(Stroke(rec, int(a), int(b), surface))
     return strokes
 
 

@@ -4,12 +4,12 @@ SVC grammar: a header line holding the integer sample count N, then N lines
 of 7 whitespace-separated numeric fields in the order
 ``x y timestamp pen_status azimuth tilt pressure``. Timestamps are device
 milliseconds and are converted to seconds; azimuth and tilt arrive in device
-tenths of a degree and are converted to degrees. LF and CRLF both accepted.
+tenths of a degree and are converted to degrees; pen status must be exactly 0
+(in air) or 1 (on surface). LF and CRLF both accepted.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (FieldCountMismatch, FileMissing, GraphokitError,
                      MalformedHeader, ManifestError, NonNumericField,
-                     ParseError, SampleCountMismatch)
+                     ParseError, PenStatusOutOfRange, SampleCountMismatch)
 from .ink import InkRecording, Task
 
 # column positions of the canonical layout
@@ -49,10 +49,15 @@ def parse_svc(data, task=Task.OTHER, subject_id="") -> InkRecording:
     if values is None:
         values = _per_line_values(body, n)
     cols = dict(zip(SVC_FIELDS, values.T))
+    pen = cols["pen_status"]
+    bad = np.flatnonzero((pen != 0) & (pen != 1))
+    if bad.size:
+        line = int(bad[0]) + 2
+        raise PenStatusOutOfRange(
+            line, f"line {line}: pen status {pen[bad[0]]} is not 0 or 1")
 
     return InkRecording(
-        x=cols["x"], y=cols["y"], t=cols["t"] / 1000.0,
-        pen_status=cols["pen_status"].astype(np.int8),
+        x=cols["x"], y=cols["y"], t=cols["t"] / 1000.0, pen_status=pen,
         pressure=cols["pressure"],
         tilt=cols["tilt"] / 10.0,
         azimuth=cols["azimuth"] / 10.0,
@@ -77,29 +82,20 @@ def _bulk_values(body, n):
 
 
 def _per_line_values(body, n):
-    """The ``(n, 7)`` field matrix with one ``float()`` per field."""
-    width = len(SVC_FIELDS)
-    rows = [ln.split() for ln in body]
-    if any(len(fields) != width for fields in rows):
-        _raise_first_bad_line(rows, width)
-    try:
-        return np.array(list(map(float, itertools.chain.from_iterable(
-            rows)))).reshape(n, width)
-    except ValueError:
-        _raise_first_bad_line(rows, width)
-
-
-def _raise_first_bad_line(rows, width):
-    """Raise the error of the first line with a wrong field count or a
-    non-numeric field (lines count from 1, the header included)."""
-    for i, fields in enumerate(rows):
-        if len(fields) != width:
+    """The ``(n, 7)`` field matrix with one ``float()`` per field, or the
+    error of the first line with a wrong field count or a non-numeric field
+    (lines count from 1, the header included)."""
+    values = np.empty((n, len(SVC_FIELDS)))
+    for i, line in enumerate(body):
+        fields = line.split()
+        if len(fields) != len(SVC_FIELDS):
             raise FieldCountMismatch(i + 2)
-        for raw in fields:
+        for j, raw in enumerate(fields):
             try:
-                float(raw)
+                values[i, j] = float(raw)
             except ValueError:
                 raise NonNumericField(i + 2, f"line {i + 2}: bad field {raw!r}")
+    return values
 
 
 def serialize_svc(rec: InkRecording) -> str:

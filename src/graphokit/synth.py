@@ -141,7 +141,7 @@ def _finish(x, y, t, pen, rng, task, meta, rate_hz, profile):
     n = len(t)
     pressure, tilt, azimuth = _default_channels(n, pen, rng)
     return InkRecording(x, y, t, pen, pressure, tilt, azimuth,
-                        sampling_rate_hint=rate_hz, task=task, meta=meta)
+                        task=task, meta=meta)
 
 
 def spiral_arc_length(b: float, theta_max: float) -> float:

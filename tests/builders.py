@@ -19,4 +19,4 @@ def make_recording(x, y, t=None, pen=None, rate=130.0, task=Task.OTHER,
         pen = np.ones(n, dtype=np.int8)
     return InkRecording(x, y, np.asarray(t, dtype=float),
                         np.asarray(pen, dtype=np.int8),
-                        sampling_rate_hint=rate, task=task, **channels)
+                        task=task, **channels)

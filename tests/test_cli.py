@@ -158,15 +158,17 @@ class TestTrain:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
         runner = CliRunner()
-        result = runner.invoke(main, [
-            "extract", "--manifest", str(manifest), "--out",
-            str(tmp_path / "features"), "--tasks", "spiral"])
+        with pytest.warns(UserWarning, match="skipped"):
+            result = runner.invoke(main, [
+                "extract", "--manifest", str(manifest), "--out",
+                str(tmp_path / "features"), "--tasks", "spiral"])
         assert result.exit_code == 0, result.output
-        result = runner.invoke(main, [
-            "train", "--manifest", str(manifest), "--out",
-            str(tmp_path / "run"), "--tasks", "spiral", "--iterations", "1",
-            "--permutations", "1", "--cv-repeats", "1", "--n-estimators",
-            "2"])
+        with pytest.warns(UserWarning, match="skipped"):
+            result = runner.invoke(main, [
+                "train", "--manifest", str(manifest), "--out",
+                str(tmp_path / "run"), "--tasks", "spiral", "--iterations",
+                "1", "--permutations", "1", "--cv-repeats", "1",
+                "--n-estimators", "2"])
         assert result.exit_code == 0, result.output
         assert "1 warnings -> warnings.txt" in result.output
         warned = (tmp_path / "run" / "warnings.txt").read_text()
@@ -234,8 +236,7 @@ theta = np.linspace(0.0, 6 * np.pi, 1300)
 n = len(theta)
 unwrap_polar(InkRecording(500.0 + 5.0 * theta * np.cos(theta),
                           500.0 + 5.0 * theta * np.sin(theta),
-                          np.arange(n) / 130.0, np.ones(n, dtype=np.int8),
-                          sampling_rate_hint=130.0))
+                          np.arange(n) / 130.0, np.ones(n, dtype=np.int8)))
 print(json.dumps([at_start, "scipy.optimize" in sys.modules]))
 """
 

@@ -31,13 +31,6 @@ class TestRecording:
         assert rec.duration == 1.25
         assert len(rec) == 3
 
-    def test_take_preserves_metadata(self):
-        rec = make_recording([1, 2, 3], [4, 5, 6], task=Task.SPIRAL)
-        sub = rec.take(np.array([0, 2]))
-        assert len(sub) == 2
-        assert sub.task is Task.SPIRAL
-        assert sub.x.tolist() == [1.0, 3.0]
-
     def test_default_channels_are_zero(self):
         rec = make_recording([1, 2], [3, 4])
         assert rec.pressure.tolist() == [0.0, 0.0]
@@ -48,6 +41,18 @@ class TestValidation:
         rec = make_recording([], [])
         with pytest.raises(EmptyRecording):
             validate_recording(rec)
+
+    def test_metadata_preserved(self):
+        rec = make_recording([1, 2, 3], [4, 5, 6], t=[0.0, 0.1, 0.1],
+                             pen=[1, 1, 0], task=Task.SPIRAL,
+                             subject_id="s1", meta={"k": 1})
+        clean = validate_recording(rec)
+        assert len(clean) == 2
+        assert clean.x.tolist() == [1.0, 3.0]
+        assert clean.pen_status.tolist() == [1, 0]
+        assert clean.task is Task.SPIRAL
+        assert clean.subject_id == "s1"
+        assert clean.meta == {"k": 1}
 
     def test_duplicate_timestamps_keep_last(self):
         rec = make_recording([1, 2, 3], [0, 0, 0], t=[0.0, 0.1, 0.1])
@@ -116,7 +121,6 @@ class TestSegmentation:
         assert [s.n for s in strokes] == [2, 3, 1, 1, 2]
         assert [s.on_surface for s in strokes] == [True, False, True,
                                                    False, True]
-        assert [s.index for s in strokes] == [0, 1, 2, 3, 4]
         # strokes partition the recording in order
         assert strokes[0].start == 0
         for a, b in zip(strokes, strokes[1:]):
@@ -131,11 +135,11 @@ class TestSegmentation:
         assert len(in_air_strokes(strokes)) == 2
 
     def test_stroke_views_match_recording(self):
-        rec = make_recording([1, 2, 3, 4], [5, 6, 7, 8], pen=[0, 1, 1, 0],
-                             pressure=[9, 10, 11, 12])
+        rec = make_recording([1, 2, 3, 4], [5, 6, 7, 8], pen=[0, 1, 1, 0])
         s = on_surface_strokes(segment_strokes(rec))[0]
         assert s.x.tolist() == [2.0, 3.0]
-        assert s.pressure.tolist() == [10.0, 11.0]
+        assert s.y.tolist() == [6.0, 7.0]
+        assert s.t.tolist() == rec.t[1:3].tolist()
         assert s.duration == pytest.approx(1.0 / 130.0)
 
     @given(pen=st.lists(st.integers(0, 1), min_size=1, max_size=60))

@@ -11,7 +11,7 @@ from graphokit import svcio
 from graphokit.errors import (FieldCountMismatch, FileMissing,
                               GraphokitError, MalformedHeader, ManifestError,
                               NonNumericField, ParseError,
-                              SampleCountMismatch)
+                              PenStatusOutOfRange, SampleCountMismatch)
 from graphokit.ink import InkRecording, Task
 from graphokit.svcio import (HC, LBD, SVC_FIELDS, CohortManifest,
                              ManifestEntry, load_cohort, load_manifest,
@@ -24,7 +24,7 @@ GOOD = "2\n100 200 1000 1 1800 600 512\n101 201 1008 0 1810 590 0\n"
 
 # Slow reference: parse_svc as it stood before the bulk conversion, one
 # float() per field, kept verbatim so the fast path can be held to the same
-# values and the same first-bad-line errors.
+# values and the same first-bad-line errors, plus the pen-status rule.
 def reference_parse_svc(data, task=Task.OTHER, subject_id=""):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -48,6 +48,9 @@ def reference_parse_svc(data, task=Task.OTHER, subject_id=""):
             rows)))).reshape(n, width)
     except ValueError:
         reference_raise_first_bad_line(rows, width)
+    for i, status in enumerate(values[:, 3].tolist()):
+        if status not in (0.0, 1.0):
+            raise PenStatusOutOfRange(i + 2)
     cols = dict(zip(SVC_FIELDS, values.T))
 
     return InkRecording(
@@ -138,11 +141,28 @@ class TestParse:
     @pytest.mark.parametrize("body,error,line_no", [
         ("1 2 x 1 4 5 6\n1 2 3 1 4 5\n", NonNumericField, 2),
         ("1 2 3 1 4 5\n1 2 x 1 4 5 6\n", FieldCountMismatch, 2),
-        ("1 2 3 1 4 5 6\n1 2 3 1 4 5 6 7\n", FieldCountMismatch, 3)])
+        ("1 2 3 1 4 5 6\n1 2 3 1 4 5 6 7\n", FieldCountMismatch, 3),
+        ("1 2 x 1 4 5\n1 2 3 1 4 5 6\n", FieldCountMismatch, 2),
+        ("1 2 3 1 4 5 6\n1 2 3 2 4 5 6\n", PenStatusOutOfRange, 3),
+        # a bad pen status loses to any later field error
+        ("1 2 3 2 4 5 6\n1 2 3 1 4 5\n", FieldCountMismatch, 3),
+        ("1 2 3 2 4 5 6\n1 2 x 1 4 5 6\n", NonNumericField, 3)])
     def test_first_bad_line_reported(self, body, error, line_no):
         with pytest.raises(error) as exc:
             parse_svc("2\n" + body)
         assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("status", ["256", "0.7", "nan", "-255", "1.9"])
+    def test_pen_status_not_0_or_1_rejected(self, status):
+        # both conversion paths: "1_0" sends the body to the per-line one
+        for x in ("1", "1_0"):
+            with pytest.raises(PenStatusOutOfRange) as exc:
+                parse_svc(f"2\n{x} 2 3 1 4 5 6\n{x} 2 3 {status} 4 5 6\n")
+            assert exc.value.line_no == 3
+
+    def test_pen_status_equal_to_0_or_1_accepted(self):
+        rec = parse_svc("2\n1 2 3 1.0 4 5 6\n1 2 4 -0 4 5 6\n")
+        assert rec.pen_status.tolist() == [1, 0]
 
 
 # tokens that float() reads but the bulk conversion rejects (underscores,
@@ -158,6 +178,8 @@ NUMBERS = st.one_of(
 SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\f", "\x0b", "\x1c",
                               "\xa0", "\u3000", "\r"])
 BLANK_LINES = st.sampled_from(["", "  ", "\t", "\f", "\r", "\x0b"])
+# pen statuses equal to 0 or 1, so that most bodies get past the status rule
+PEN_TOKENS = st.sampled_from(["0", "1", "1.0", "-0", "+1", "0e9", "\u0661"])
 
 
 @st.composite
@@ -170,6 +192,8 @@ def fuzzed_svc(draw):
             NUMBERS if clean else st.one_of(NUMBERS,
                                             st.sampled_from(ODD_TOKENS)),
             min_size=width, max_size=width))
+        if draw(st.integers(0, 3)):
+            tokens[3] = draw(PEN_TOKENS)
         seps = draw(st.lists(SEPARATORS, min_size=width + 1,
                              max_size=width + 1))
         lead, *inner, trail = seps
@@ -185,8 +209,6 @@ def fuzzed_svc(draw):
         ["\n", "", "\r\n", "\n\n"]))
 
 
-# a NaN pen status casts to int8 with a RuntimeWarning on both paths
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 class TestBulkParse:
     @pytest.mark.parametrize("text", [
         "0\n", "0", "1\n1 2 3 1 4 5 6\n",
@@ -200,9 +222,13 @@ class TestBulkParse:
         "1\n1\f2\x0b3 1 4 5 6\n",                    # form feed, vtab
         "2\n1 2 3 1 4 5 6\n1 2 3 1 4 5 6 7\n",       # field count
         "2\n1 2 x 1 4 5 6\n1 2 3 1 4 5\n",           # first bad line
-        "1\nnan inf -inf 1 -0 1e500 4.9e-324\n"])
-    # loadtxt warns on empty input, so parse_svc must not call it there
-    @pytest.mark.filterwarnings("error::UserWarning")
+        "1\nnan inf -inf 1 -0 1e500 4.9e-324\n",
+        "1\n1 2 3 nan 4 5 6\n",                      # pen status rule
+        "1\n1_0 2 3 nan 4 5 6\n",
+        "2\n1 2 3 1 4 5 6\n1 2 3 0.7 4 5 6\n"])
+    # loadtxt warns on empty input, so parse_svc must not call it there; and
+    # no NaN pen status may reach the int8 cast
+    @pytest.mark.filterwarnings("error")
     def test_pinned_bodies_match_reference(self, text):
         assert parse_outcome(parse_svc, text) == \
             parse_outcome(reference_parse_svc, text)
@@ -390,6 +416,16 @@ class TestLoadCohort:
         assert [sid for sid, _, _ in per_task["spiral"]] == ["a"]
         assert len(problems) == 1
         assert problems[0].startswith("b/spiral: parse failed (")
+
+    def test_bad_pen_status_lenient_becomes_a_problem(self, tmp_path):
+        self._write(tmp_path, "bad.svc", "1\n1 2 3 256 4 5 6\n")
+        m = CohortManifest(entries=(
+            ManifestEntry("b", LBD, {"spiral": "bad.svc"}),), root=tmp_path)
+        with pytest.warns(UserWarning, match="skipped"):
+            per_task, problems = load_cohort(m)
+        assert per_task == {}
+        assert problems == ["b/spiral: parse failed (line 2: pen status "
+                            "256.0 is not 0 or 1)"]
 
     def test_program_errors_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
