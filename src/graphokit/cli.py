@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import GraphokitError, InvalidParams

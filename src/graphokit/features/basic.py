@@ -8,36 +8,20 @@ fixed rate. Projected velocities are magnitudes (|dx|/dt, |dy|/dt).
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from ..errors import (DegenerateRecording, EmptyScope, EmptyVector,
                       NoOnSurfaceSamples)
-from ..ink import (InkRecording, Stroke, Surface, in_air_strokes,
-                   on_surface_strokes, segment_strokes)
+from ..ink import (InkRecording, in_air_strokes, on_surface_strokes,
+                   segment_strokes)
+
+AGGREGATIONS = ("median", "ncv", "slope", "p95")
 
 
-class Projection(str, Enum):
-    GLOBAL = "glob"
-    HORIZONTAL = "horiz"
-    VERTICAL = "vert"
-
-
-class SurfaceScope(str, Enum):
-    ON_SURFACE = "onsurf"
-    IN_AIR = "inair"
-
-
-class Aggregation(str, Enum):
-    MEDIAN = "median"
-    NCV = "ncv"
-    SLOPE = "slope"
-    P95 = "p95"
-
-
-def aggregate(v, how: Aggregation) -> float:
-    """Collapse a feature vector to a scalar.
+def aggregate(v, how: str) -> float:
+    """Collapse a feature vector to a scalar; ``how`` is one of
+    :data:`AGGREGATIONS`.
 
     Quantiles use linear interpolation at position p*(n-1). nCV with a zero
     median and slope of a single point come back as NaN (missing).
@@ -46,7 +30,7 @@ def aggregate(v, how: Aggregation) -> float:
     v = v[~np.isnan(v)]
     if v.size == 0:
         raise EmptyVector("cannot aggregate an empty vector")
-    return _aggregations(v)[Aggregation(how)]
+    return _aggregations(v)[how]
 
 
 def _aggregations(v) -> dict:
@@ -59,10 +43,10 @@ def _aggregations(v) -> dict:
         idx = np.arange(v.size, dtype=float)
         idx -= idx.mean()
         slope = float(idx @ (v - v.mean()) / (idx @ idx))
-    return {Aggregation.MEDIAN: med,
-            Aggregation.NCV: float("nan") if med == 0 else (q75 - q25) / med,
-            Aggregation.SLOPE: slope,
-            Aggregation.P95: q95}
+    return {"median": med,
+            "ncv": float("nan") if med == 0 else (q75 - q25) / med,
+            "slope": slope,
+            "p95": q95}
 
 
 def _median(v) -> float:
@@ -104,8 +88,8 @@ def aggregate_all(v, prefix: str, out: dict) -> None:
     v = np.asarray(v, dtype=float)
     v = v[~np.isnan(v)]
     values = _aggregations(v) if v.size else {}
-    for how in Aggregation:
-        out[f"{prefix}_{how.value}"] = values.get(how, float("nan"))
+    for how in AGGREGATIONS:
+        out[f"{prefix}_{how}"] = values.get(how, float("nan"))
 
 
 def temporal_features(rec: InkRecording) -> dict:
@@ -140,40 +124,29 @@ def temporal_features(rec: InkRecording) -> dict:
     }
 
 
-def kinematic_profile(stroke: Stroke, proj: Projection,
-                      order: str) -> np.ndarray:
-    """Velocity or acceleration sequence for one stroke.
+def kinematic_vector(strokes) -> dict:
+    """Velocity and acceleration of a set of strokes in each projection,
+    keyed ``<order>_<proj>`` (``glob``, ``horiz``, ``vert``): per-stroke
+    sequences concatenated in stroke order.
 
     velocity_i = disp(i, i+1) / dt; acceleration = first difference of the
-    velocity sequence divided by the midpoint dt. Too-short strokes give an
-    empty sequence.
+    velocity sequence divided by the midpoint dt. A stroke of n samples adds
+    n - 1 velocities and n - 2 accelerations, none when too short.
     """
-    if order not in ("velocity", "acceleration"):
-        raise ValueError(f"unknown order {order!r}")
-    min_len = 2 if order == "velocity" else 3
-    if stroke.n < min_len:
-        return np.empty(0)
-    t = stroke.t
-    dt = np.diff(t)
-    proj = Projection(proj)
-    if proj is Projection.GLOBAL:
-        disp = np.hypot(np.diff(stroke.x), np.diff(stroke.y))
-    elif proj is Projection.HORIZONTAL:
-        disp = np.abs(np.diff(stroke.x))
-    else:
-        disp = np.abs(np.diff(stroke.y))
-    vel = disp / dt
-    if order == "velocity":
-        return vel
-    mid_dt = (t[2:] - t[:-2]) / 2.0
-    return np.diff(vel) / mid_dt
-
-
-def kinematic_vector(strokes, proj: Projection, order: str) -> np.ndarray:
-    """Concatenated per-stroke kinematic sequences for a set of strokes."""
-    parts = [kinematic_profile(s, proj, order) for s in strokes]
-    parts = [p for p in parts if p.size]
-    return np.concatenate(parts) if parts else np.empty(0)
+    parts = {f"{order}_{proj}": [] for proj in ("glob", "horiz", "vert")
+             for order in ("velocity", "acceleration")}
+    for s in strokes:
+        t = s.t
+        dt = np.diff(t)
+        dx, dy = np.diff(s.x), np.diff(s.y)
+        mid_dt = (t[2:] - t[:-2]) / 2.0
+        for proj, disp in (("glob", np.hypot(dx, dy)), ("horiz", np.abs(dx)),
+                           ("vert", np.abs(dy))):
+            vel = disp / dt
+            parts[f"velocity_{proj}"].append(vel)
+            parts[f"acceleration_{proj}"].append(np.diff(vel) / mid_dt)
+    return {key: np.concatenate(p) if p else np.empty(0)
+            for key, p in parts.items()}
 
 
 def dynamic_features(rec: InkRecording) -> dict:
@@ -193,18 +166,18 @@ def path_length(x, y) -> float:
     return float(np.hypot(np.diff(x), np.diff(y)).sum())
 
 
-def spatial_features(rec: InkRecording, scope: SurfaceScope) -> dict:
-    """Width/height of the product in scope, summed per-stroke path length,
-    and per-stroke width/height/length vectors."""
-    scope = SurfaceScope(scope)
+def spatial_features(rec: InkRecording, on_surface: bool) -> dict:
+    """Width/height of the on-surface (or in-air) product, summed per-stroke
+    path length, and per-stroke width/height/length vectors."""
     strokes = segment_strokes(rec)
-    if scope is SurfaceScope.ON_SURFACE:
+    if on_surface:
         strokes = on_surface_strokes(strokes)
     else:
         strokes = in_air_strokes(strokes)
     pts = sum(s.n for s in strokes)
     if pts < 2 or not strokes:
-        raise EmptyScope(f"fewer than 2 samples in scope {scope.value}")
+        scope = "onsurf" if on_surface else "inair"
+        raise EmptyScope(f"fewer than 2 samples in scope {scope}")
     xs = np.concatenate([s.x for s in strokes])
     ys = np.concatenate([s.y for s in strokes])
     widths = np.array([float(s.x.max() - s.x.min()) for s in strokes])

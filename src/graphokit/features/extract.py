@@ -12,8 +12,8 @@ import numpy as np
 from ..errors import GraphokitError
 from ..ink import (InkRecording, in_air_strokes, on_surface_strokes,
                    segment_strokes)
-from .basic import (Projection, SurfaceScope, aggregate_all, dynamic_features,
-                    kinematic_vector, spatial_features, temporal_features)
+from .basic import (aggregate_all, dynamic_features, kinematic_vector,
+                    spatial_features, temporal_features)
 from .events import (count_intersections, count_pen_stops, shannon_entropy,
                      stroke_summary, velocity_profile_changes)
 from .spiral import spiral_features, unwrap_polar
@@ -43,12 +43,10 @@ def extract_features(rec: InkRecording, task: str | None = None) -> dict:
 
     # kinematic
     p = f"{task}.kinematic"
-    for scope_name, scope_strokes in (("onsurf", on), ("inair", air)):
-        for proj in Projection:
-            for order in ("velocity", "acceleration"):
-                v = kinematic_vector(scope_strokes, proj, order)
-                aggregate_all(
-                    v, f"{p}.{order}_{proj.value}_{scope_name}", out)
+    kin_on = kinematic_vector(on)
+    for scope, kin in (("onsurf", kin_on), ("inair", kinematic_vector(air))):
+        for base, v in kin.items():
+            aggregate_all(v, f"{p}.{base}_{scope}", out)
 
     # dynamic (on-surface only: in-air pressure is physically zero and hover
     # orientation is noise-dominated)
@@ -63,10 +61,9 @@ def extract_features(rec: InkRecording, task: str | None = None) -> dict:
 
     # spatial
     p = f"{task}.spatial"
-    for scope in (SurfaceScope.ON_SURFACE, SurfaceScope.IN_AIR):
-        sfx = scope.value
+    for on_surface, sfx in ((True, "onsurf"), (False, "inair")):
         try:
-            sp = spatial_features(rec, scope)
+            sp = spatial_features(rec, on_surface)
         except GraphokitError:
             sp = None
         for base in ("width", "height", "length"):
@@ -107,10 +104,14 @@ def extract_features(rec: InkRecording, task: str | None = None) -> dict:
     out[f"{p}.entropy_vert_onsurf_median"] = \
         float(np.median(ent_vert)) if ent_vert else float("nan")
 
+    # each stroke's n - 1 velocities, in stroke order
+    velocity = kin_on["velocity_glob"]
     changes, rels = [], []
+    start = 0
     for s in on:
-        vel = kinematic_vector([s], Projection.GLOBAL, "velocity")
-        c, r = velocity_profile_changes(vel, s.duration)
+        stop = start + s.n - 1
+        c, r = velocity_profile_changes(velocity[start:stop], s.duration)
+        start = stop
         if not np.isnan(c):
             changes.append(c)
             rels.append(r)

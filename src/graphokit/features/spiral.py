@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import (DegenerateRadius, FitFailure, InsufficientLoops,
                       NoOnSurfaceSamples, NotASpiral)
 from ..ink import InkRecording, on_surface_strokes, segment_strokes
-from .basic import Aggregation, aggregate, path_length
+from .basic import aggregate, path_length
 
 _RAY_COUNT = 4  # fixed rays every pi/2, anchored at the trace's start angle
 
@@ -180,7 +180,7 @@ def spiral_features(trace: PolarTrace, rec: InkRecording) -> dict:
     mean_speed = on_len / on_dur if on_dur > 0 else float("nan")
 
     loop_widths = _ray_loop_widths(theta, r)
-    width_var = aggregate(np.abs(loop_widths), Aggregation.NCV)
+    width_var = aggregate(np.abs(loop_widths), "ncv")
 
     return {
         "dos": dos,

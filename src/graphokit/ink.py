@@ -26,11 +26,6 @@ class Task(str, Enum):
     OTHER = "other"
 
 
-class Surface(str, Enum):
-    ON_SURFACE = "on_surface"
-    IN_AIR = "in_air"
-
-
 class InkRecording:
     """Immutable timestamped pen-sample sequence with channel data."""
 
@@ -53,9 +48,18 @@ class InkRecording:
         object.__setattr__(self, "x", _chan(x))
         object.__setattr__(self, "y", _chan(y))
         object.__setattr__(self, "t", _chan(t))
-        pen = np.asarray(pen_status, dtype=np.int8).copy()
+        given = np.asarray(pen_status)
+        with np.errstate(invalid="ignore"):
+            pen = given.astype(np.int8)
         if len(pen) != n:
             raise ValueError("channel length mismatch")
+        # a value the cast would change (256, 0.7, nan) must not pass as a
+        # valid status; integers outside {0, 1} are left to validation
+        changed = pen != given
+        if np.any(changed):
+            raise ChannelOutOfRange(
+                f"pen_status at sample {int(np.flatnonzero(changed)[0])} "
+                "is not an int8 integer")
         pen.flags.writeable = False
         object.__setattr__(self, "pen_status", pen)
         object.__setattr__(self, "pressure", _chan(pressure))
@@ -96,15 +100,11 @@ class Stroke:
     recording: InkRecording
     start: int
     stop: int  # exclusive
-    surface: Surface
+    on_surface: bool
 
     @property
     def n(self) -> int:
         return self.stop - self.start
-
-    @property
-    def on_surface(self) -> bool:
-        return self.surface is Surface.ON_SURFACE
 
     @property
     def x(self):
@@ -181,11 +181,8 @@ def segment_strokes(rec: InkRecording) -> list[Stroke]:
     boundaries = np.flatnonzero(np.diff(pen) != 0) + 1
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [len(rec)]))
-    strokes = []
-    for a, b in zip(starts, stops):
-        surface = Surface.ON_SURFACE if pen[a] == ON_SURFACE else Surface.IN_AIR
-        strokes.append(Stroke(rec, int(a), int(b), surface))
-    return strokes
+    return [Stroke(rec, int(a), int(b), bool(pen[a] == ON_SURFACE))
+            for a, b in zip(starts, stops)]
 
 
 def on_surface_strokes(strokes) -> list[Stroke]:

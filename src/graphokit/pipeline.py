@@ -12,7 +12,7 @@ import numpy as np
 from . import gbt
 from .errors import (ClassTooSmall, DegenerateProbs, EmptyMatrix,
                      GraphokitError, InvalidParams, SingleClass)
-from .gbt import PAPER_GRIDS, BoostedEnsemble, HyperParams
+from .gbt import PAPER_GRIDS, HyperParams
 from .table import FeatureTable
 
 METRIC_NAMES = ("MCC", "BACC", "SEN", "SPE", "PRE", "F1")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 

@@ -11,12 +11,14 @@ from scipy.integrate import quad
 
 from graphokit.errors import (DegenerateRecording, EmptyScope, EmptyVector,
                               NoOnSurfaceSamples)
-from graphokit.features.basic import (Aggregation, Projection, SurfaceScope,
-                                      _aggregations, aggregate, aggregate_all,
-                                      dynamic_features, kinematic_profile,
+from graphokit.features.basic import (AGGREGATIONS, _aggregations, aggregate,
+                                      aggregate_all, dynamic_features,
                                       kinematic_vector, path_length,
                                       spatial_features, temporal_features)
-from graphokit.ink import on_surface_strokes, segment_strokes
+from graphokit.features.events import velocity_profile_changes
+from graphokit.features.extract import extract_features
+from graphokit.ink import (in_air_strokes, on_surface_strokes,
+                           segment_strokes)
 
 from builders import make_recording
 
@@ -24,18 +26,18 @@ from builders import make_recording
 # Slow reference: the aggregations as they stood before the hand-made
 # partitions, through np.median and np.percentile, kept verbatim so the fast
 # path can be held to the same bits.
-def reference_aggregations(v, hows=tuple(Aggregation)) -> dict:
+def reference_aggregations(v, hows=AGGREGATIONS) -> dict:
     out = {}
-    if Aggregation.MEDIAN in hows or Aggregation.NCV in hows:
+    if "median" in hows or "ncv" in hows:
         med = np.median(v)
-    if Aggregation.NCV in hows or Aggregation.P95 in hows:
+    if "ncv" in hows or "p95" in hows:
         q25, q75, q95 = np.percentile(v, [25, 75, 95])
     for how in hows:
-        if how is Aggregation.MEDIAN:
+        if how == "median":
             out[how] = float(med)
-        elif how is Aggregation.P95:
+        elif how == "p95":
             out[how] = float(q95)
-        elif how is Aggregation.NCV:
+        elif how == "ncv":
             out[how] = float("nan") if med == 0 else float((q75 - q25) / med)
         elif v.size < 2:
             out[how] = float("nan")
@@ -75,29 +77,29 @@ class TestAggregate:
 
     def test_reference_vector(self):
         v = [1.0, 2.0, 3.0, 4.0]
-        assert aggregate(v, Aggregation.MEDIAN) == 2.5
+        assert aggregate(v, "median") == 2.5
         # linear-interpolation quantiles at p*(n-1)
-        assert aggregate(v, Aggregation.P95) == pytest.approx(3.85)
-        assert aggregate(v, Aggregation.NCV) == pytest.approx(0.6)
-        assert aggregate(v, Aggregation.SLOPE) == pytest.approx(1.0)
+        assert aggregate(v, "p95") == pytest.approx(3.85)
+        assert aggregate(v, "ncv") == pytest.approx(0.6)
+        assert aggregate(v, "slope") == pytest.approx(1.0)
 
     def test_slope_matches_polyfit(self, rng):
         v = rng.normal(size=37)
         expect = np.polyfit(np.arange(37), v, 1)[0]
-        assert aggregate(v, Aggregation.SLOPE) == pytest.approx(expect)
+        assert aggregate(v, "slope") == pytest.approx(expect)
 
     def test_zero_median_ncv_is_missing(self):
-        assert np.isnan(aggregate([-1.0, 0.0, 1.0], Aggregation.NCV))
+        assert np.isnan(aggregate([-1.0, 0.0, 1.0], "ncv"))
 
     def test_single_point_slope_is_missing(self):
-        assert np.isnan(aggregate([5.0], Aggregation.SLOPE))
+        assert np.isnan(aggregate([5.0], "slope"))
 
     def test_empty_raises(self):
         with pytest.raises(EmptyVector):
-            aggregate([], Aggregation.MEDIAN)
+            aggregate([], "median")
 
     def test_nan_entries_dropped(self):
-        assert aggregate([1.0, np.nan, 3.0], Aggregation.MEDIAN) == 2.0
+        assert aggregate([1.0, np.nan, 3.0], "median") == 2.0
 
     def test_aggregate_all_emits_four_keys(self):
         out = {}
@@ -113,7 +115,7 @@ class TestAggregate:
            st.floats(-100.0, 100.0))
     @settings(max_examples=80, deadline=None)
     def test_median_p95_shift_equivariance(self, v, c):
-        for how in (Aggregation.MEDIAN, Aggregation.P95):
+        for how in ("median", "p95"):
             a = aggregate(np.asarray(v) + c, how)
             b = aggregate(v, how) + c
             assert a == pytest.approx(b, abs=1e-6)
@@ -150,6 +152,54 @@ class TestTemporal:
             temporal_features(rec)
 
 
+# Slow reference: the per-stroke, per-projection, per-order kinematics as
+# they stood before the single pass, kept verbatim but for the projection
+# enum, whose members compared equal to these strings.
+def kinematic_profile(stroke, proj, order: str) -> np.ndarray:
+    if order not in ("velocity", "acceleration"):
+        raise ValueError(f"unknown order {order!r}")
+    min_len = 2 if order == "velocity" else 3
+    if stroke.n < min_len:
+        return np.empty(0)
+    t = stroke.t
+    dt = np.diff(t)
+    if proj == "glob":
+        disp = np.hypot(np.diff(stroke.x), np.diff(stroke.y))
+    elif proj == "horiz":
+        disp = np.abs(np.diff(stroke.x))
+    else:
+        disp = np.abs(np.diff(stroke.y))
+    vel = disp / dt
+    if order == "velocity":
+        return vel
+    mid_dt = (t[2:] - t[:-2]) / 2.0
+    return np.diff(vel) / mid_dt
+
+
+def reference_kinematic_vector(strokes, proj, order: str) -> np.ndarray:
+    parts = [kinematic_profile(s, proj, order) for s in strokes]
+    parts = [p for p in parts if p.size]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+KINEMATIC_KEYS = ["velocity_glob", "acceleration_glob", "velocity_horiz",
+                  "acceleration_horiz", "velocity_vert", "acceleration_vert"]
+
+
+def run_recording(runs, seed):
+    """Alternating on-surface/in-air runs of the given lengths, on-surface
+    first, on a coarse grid so displacements tie and vanish."""
+    pen = np.concatenate([np.full(n, (i + 1) % 2) for i, n in enumerate(runs)])
+    r = np.random.default_rng(seed)
+    n = len(pen)
+    return make_recording(np.round(10 * r.random(n)), np.round(10 * r.random(n)),
+                          t=np.cumsum(0.001 + r.random(n)), pen=pen)
+
+
+RUN_LENGTHS = st.lists(st.integers(1, 6), min_size=1, max_size=10)
+SEEDS = st.integers(0, 2 ** 31 - 1)
+
+
 class TestKinematic:
     def _stroke(self, x, y, t):
         rec = make_recording(x, y, t=t)
@@ -158,7 +208,7 @@ class TestKinematic:
     def test_constant_velocity(self):
         t = np.linspace(0.0, 1.0, 14)
         s = self._stroke(300.0 * t, np.zeros(14), t)
-        vel = kinematic_profile(s, Projection.GLOBAL, "velocity")
+        vel = kinematic_vector([s])["velocity_glob"]
         np.testing.assert_allclose(vel, 300.0)
 
     def test_quadratic_position_gives_constant_acceleration(self):
@@ -167,27 +217,66 @@ class TestKinematic:
         t = np.sort(np.concatenate(([0.0, 1.0], 0.07 + 0.9
                                     * np.random.default_rng(3).random(20))))
         s = self._stroke(t ** 2, np.zeros(len(t)), t)
-        acc = kinematic_profile(s, Projection.HORIZONTAL, "acceleration")
+        acc = kinematic_vector([s])["acceleration_horiz"]
         np.testing.assert_allclose(acc, 2.0, rtol=1e-9)
 
     def test_projections_unsigned_by_default(self):
         t = np.arange(3) / 130.0
         s = self._stroke([0.0, 1.0, 0.0], [0.0, -2.0, 0.0], t)
-        vh = kinematic_profile(s, Projection.HORIZONTAL, "velocity")
-        vv = kinematic_profile(s, Projection.VERTICAL, "velocity")
+        kin = kinematic_vector([s])
+        vh, vv = kin["velocity_horiz"], kin["velocity_vert"]
         assert np.all(vh > 0) and np.all(vv > 0)
 
     def test_too_short_gives_empty(self):
         t = np.arange(2) / 130.0
         s = self._stroke([0.0, 1.0], [0.0, 0.0], t)
-        assert kinematic_profile(s, Projection.GLOBAL, "acceleration").size == 0
+        assert kinematic_vector([s])["acceleration_glob"].size == 0
+
+    def test_no_strokes_give_six_empty_vectors(self):
+        kin = kinematic_vector([])
+        assert list(kin) == KINEMATIC_KEYS
+        assert all(v.size == 0 for v in kin.values())
 
     def test_vector_concatenates_strokes(self):
         pen = [1, 1, 1, 0, 1, 1, 1]
         rec = make_recording(np.arange(7.0), np.zeros(7), pen=pen)
         on = on_surface_strokes(segment_strokes(rec))
-        v = kinematic_vector(on, Projection.GLOBAL, "velocity")
+        v = kinematic_vector(on)["velocity_glob"]
         assert v.size == 4  # 2 increments per 3-sample stroke
+
+    @given(RUN_LENGTHS, SEEDS)
+    # strokes of 1, 2 and 3 samples in both scopes
+    @example([1, 2, 3, 1, 2, 3], 0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bit_for_bit(self, runs, seed):
+        strokes = segment_strokes(run_recording(runs, seed))
+        for scope in (on_surface_strokes(strokes), in_air_strokes(strokes)):
+            kin = kinematic_vector(scope)
+            assert list(kin) == KINEMATIC_KEYS
+            for key, v in kin.items():
+                order, proj = key.split("_")
+                np.testing.assert_array_equal(
+                    v, reference_kinematic_vector(scope, proj, order))
+
+    # two runs or more: extract_features needs two samples
+    @given(st.lists(st.integers(1, 8), min_size=2, max_size=10), SEEDS)
+    @example([4, 1, 1, 2, 3, 1, 6], 0)
+    @settings(max_examples=80, deadline=None)
+    def test_velocity_changes_match_per_stroke_reference(self, runs, seed):
+        rec = run_recording(runs, seed)
+        changes, rels = [], []
+        for s in on_surface_strokes(segment_strokes(rec)):
+            vel = reference_kinematic_vector([s], "glob", "velocity")
+            c, r = velocity_profile_changes(vel, s.duration)
+            if not np.isnan(c):
+                changes.append(c)
+                rels.append(r)
+        out = extract_features(rec)
+        np.testing.assert_array_equal(
+            [out["other.other.velocity_changes"],
+             out["other.other.velocity_changes_rel"]],
+            [float(np.sum(changes)) if changes else float("nan"),
+             float(np.median(rels)) if rels else float("nan")])
 
     @given(st.integers(3, 30), st.floats(0.1, 10.0), st.floats(-500, 500),
            st.integers(0, 2 ** 31 - 1))
@@ -199,9 +288,9 @@ class TestKinematic:
         s1 = self._stroke(x, y, t)
         s2 = self._stroke(x + shift, y + shift, t)
         s3 = self._stroke(x, y, t * c)
-        v1 = kinematic_vector([s1], Projection.GLOBAL, "velocity")
-        v2 = kinematic_vector([s2], Projection.GLOBAL, "velocity")
-        v3 = kinematic_vector([s3], Projection.GLOBAL, "velocity")
+        v1 = kinematic_vector([s1])["velocity_glob"]
+        v2 = kinematic_vector([s2])["velocity_glob"]
+        v3 = kinematic_vector([s3])["velocity_glob"]
         np.testing.assert_allclose(v2, v1, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(v3, v1 / c, rtol=1e-6)
 
@@ -211,9 +300,9 @@ class TestKinematic:
         r = np.random.default_rng(seed)
         s = self._stroke(100 * r.random(n), 100 * r.random(n),
                          np.cumsum(0.001 + r.random(n)))
-        vg = kinematic_profile(s, Projection.GLOBAL, "velocity")
-        vh = kinematic_profile(s, Projection.HORIZONTAL, "velocity")
-        vv = kinematic_profile(s, Projection.VERTICAL, "velocity")
+        kin = kinematic_vector([s])
+        vg, vh, vv = (kin[f"velocity_{proj}"]
+                      for proj in ("glob", "horiz", "vert"))
         assert np.all(vg >= np.maximum(vh, vv) - 1e-9)
 
 
@@ -236,7 +325,7 @@ class TestDynamic:
 class TestSpatial:
     def test_three_four_five(self):
         rec = make_recording([0.0, 3.0], [0.0, 4.0])
-        sp = spatial_features(rec, SurfaceScope.ON_SURFACE)
+        sp = spatial_features(rec, True)
         assert sp["width"] == 3.0
         assert sp["height"] == 4.0
         assert sp["length"] == 5.0
@@ -244,21 +333,21 @@ class TestSpatial:
     def test_scopes_split_strokes(self):
         pen = [1, 1, 0, 0]
         rec = make_recording([0, 1, 10, 30], [0, 0, 0, 0], pen=pen)
-        on = spatial_features(rec, SurfaceScope.ON_SURFACE)
-        air = spatial_features(rec, SurfaceScope.IN_AIR)
+        on = spatial_features(rec, True)
+        air = spatial_features(rec, False)
         assert on["width"] == 1.0
         assert air["width"] == 20.0
 
     def test_empty_scope(self):
         rec = make_recording([0, 1], [0, 0])
         with pytest.raises(EmptyScope):
-            spatial_features(rec, SurfaceScope.IN_AIR)
+            spatial_features(rec, False)
 
     def test_per_stroke_vectors(self):
         pen = [1, 1, 0, 1, 1, 1]
         x = [0, 2, 5, 10, 11, 14]
         rec = make_recording(x, np.zeros(6), pen=pen)
-        sp = spatial_features(rec, SurfaceScope.ON_SURFACE)
+        sp = spatial_features(rec, True)
         assert sp["stroke_width"].tolist() == [2.0, 4.0]
         assert sp["stroke_length"].tolist() == [2.0, 4.0]
 
@@ -276,8 +365,7 @@ class TestSpatial:
     def test_translation_invariance(self, n, shift, seed):
         r = np.random.default_rng(seed)
         x, y = 100 * r.random(n), 100 * r.random(n)
-        a = spatial_features(make_recording(x, y), SurfaceScope.ON_SURFACE)
-        b = spatial_features(make_recording(x + shift, y + shift),
-                             SurfaceScope.ON_SURFACE)
+        a = spatial_features(make_recording(x, y), True)
+        b = spatial_features(make_recording(x + shift, y + shift), True)
         for key in ("width", "height", "length"):
             assert a[key] == pytest.approx(b[key], abs=1e-6)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from graphokit.errors import (ChannelOutOfRange, EmptyRecording,
                               NonMonotoneTime)
-from graphokit.ink import (IN_AIR, ON_SURFACE, Stroke, Surface, Task,
-                           in_air_strokes, on_surface_strokes, segment_strokes,
+from graphokit.ink import (InkRecording, Task, in_air_strokes,
+                           on_surface_strokes, segment_strokes,
                            validate_recording)
 
 from builders import make_recording
@@ -34,6 +34,19 @@ class TestRecording:
     def test_default_channels_are_zero(self):
         rec = make_recording([1, 2], [3, 4])
         assert rec.pressure.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [256.0, 0.7, 1.9, 256, np.nan])
+    def test_pen_status_the_int8_cast_would_change_rejected(self, bad):
+        with pytest.raises(ChannelOutOfRange):
+            InkRecording([0, 1, 2], [0, 0, 0], [0.0, 0.1, 0.2], [1, bad, 0])
+
+    def test_integer_pen_status_left_to_validation(self):
+        rec = InkRecording([0, 1, 2], [0, 0, 0], [0.0, 0.1, 0.2], [2, 0, 1])
+        assert rec.pen_status.tolist() == [2, 0, 1]
+        with pytest.warns(UserWarning):
+            assert validate_recording(rec).pen_status.tolist() == [1, 0, 1]
+        with pytest.raises(ChannelOutOfRange):
+            validate_recording(rec, strict=True)
 
 
 class TestValidation:
@@ -111,7 +124,7 @@ class TestSegmentation:
         rec = make_recording([1, 2, 3], [0, 0, 0])
         strokes = segment_strokes(rec)
         assert len(strokes) == 1
-        assert strokes[0].surface is Surface.ON_SURFACE
+        assert strokes[0].on_surface is True
         assert strokes[0].n == 3
 
     def test_alternating_runs(self):
@@ -150,4 +163,4 @@ class TestSegmentation:
         covered = sum(s.n for s in strokes)
         assert covered == len(pen)
         for a, b in zip(strokes, strokes[1:]):
-            assert a.surface is not b.surface  # maximality
+            assert a.on_surface != b.on_surface  # maximality
