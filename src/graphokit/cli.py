@@ -16,7 +16,8 @@ from .features import extract_features
 from .gbt import PAPER_GRIDS
 from .pipeline import evaluate_task
 from .stats import analyze_features
-from .svcio import load_cohort, load_manifest
+# load_cohort stays imported: the benchmark's traced runs rebind it here
+from .svcio import iter_cohort, load_cohort, load_manifest  # noqa: F401
 from .synth import STRONG_DELTA, ImpairmentDelta, gen_cohort
 from .table import FeatureTable, combine_tasks
 from .ink import validate_recording
@@ -52,8 +53,10 @@ class RunConfig:
                     "n_estimators"):
             if getattr(self, key) is not None:
                 base[key] = getattr(self, key)
-        if base["iterations"] < 1 or base["permutations"] < 1:
-            raise InvalidParams("iterations and permutations must be >= 1")
+        if min(base["iterations"], base["permutations"], base["cv_repeats"],
+               base["n_estimators"]) < 1:
+            raise InvalidParams("iterations, permutations, cv_repeats and "
+                                "n_estimators must be >= 1")
         return base
 
 
@@ -77,21 +80,29 @@ def run_json_payload(config: RunConfig) -> dict:
 
 
 def _seed_default() -> int:
-    return int(os.environ.get("GRAPHOKIT_SEED", "0"))
+    raw = os.environ.get("GRAPHOKIT_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise click.BadParameter(
+            f"GRAPHOKIT_SEED={raw!r} is not an integer") from None
 
 
 def _load_tables(manifest_path, tasks, strict):
+    """Feature tables of ``tasks`` and the skipped files, holding one
+    recording at a time: each is validated and extracted as it is read, and
+    only its features are kept. Files of other tasks are read, so their
+    problems are reported too, and then dropped."""
     manifest = load_manifest(manifest_path)
-    per_task, problems = load_cohort(manifest, strict=strict)
-    tables = {}
-    for task in tasks:
-        rows = []
-        for sid, label, rec in per_task.get(task, []):
-            rec = validate_recording(rec, strict=strict)
-            feats = extract_features(rec, task=task)
-            rows.append((sid, label, feats))
-        if rows:
-            tables[task] = FeatureTable.from_rows(rows)
+    problems = []
+    rows = {task: [] for task in tasks}
+    for task, sid, label, rec in iter_cohort(manifest, problems, strict):
+        if task in rows:
+            feats = extract_features(validate_recording(rec, strict=strict),
+                                     task=task)
+            rows[task].append((sid, label, feats))
+    tables = {task: FeatureTable.from_rows(task_rows)
+              for task, task_rows in rows.items() if task_rows}
     return tables, problems
 
 
@@ -199,6 +210,9 @@ def run_training(config: RunConfig, echo=lambda s: None) -> dict:
         if not report.threshold_tuned:
             problems.append(f"{task}: all cross-validated probabilities "
                             f"equal, threshold not tuned (0.5 used)")
+        if report.loocv_split_free:
+            problems.append(f"{task}: every LOOCV model is split-free; its "
+                            f"AUC reflects only the fold class balance")
         with open(out / f"roc_{task}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["threshold", "fpr", "tpr"])
@@ -263,9 +277,9 @@ def train(manifest, out, tasks, profile, iterations, permutations, cv_repeats,
                        threshold_objective=threshold_objective)
     try:
         config.resolved()
+        run_training(config, echo=click.echo)
     except GraphokitError as exc:
         raise click.ClickException(str(exc))
-    run_training(config, echo=click.echo)
 
 
 main.add_command(train, name="evaluate")

@@ -136,6 +136,11 @@ class BoostedEnsemble:
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
+    @property
+    def split_free(self) -> bool:
+        """No tree has a split node: the model ignores its inputs."""
+        return not any(f >= 0 for tree in self.trees for f in tree.feature)
+
     def to_json(self) -> str:
         doc = {"format": "graphokit-gbt-1",
                "params": asdict(self.params),

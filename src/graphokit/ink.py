@@ -30,7 +30,7 @@ class InkRecording:
     """Immutable timestamped pen-sample sequence with channel data."""
 
     __slots__ = ("x", "y", "t", "pen_status", "pressure", "tilt", "azimuth",
-                 "task", "subject_id", "meta")
+                 "task", "subject_id", "meta", "__weakref__")
 
     def __init__(self, x, y, t, pen_status, pressure=None, tilt=None,
                  azimuth=None, task=Task.OTHER, subject_id="", meta=None):

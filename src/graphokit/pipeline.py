@@ -244,6 +244,7 @@ class EvaluationReport:
     permutation_p: float = float("nan")
     search_bacc: float = float("nan")
     threshold_tuned: bool = True
+    loocv_split_free: bool = False
 
 
 def loocv_evaluate(table: FeatureTable, params: HyperParams,
@@ -254,7 +255,10 @@ def loocv_evaluate(table: FeatureTable, params: HyperParams,
     class, so every fold prior leans against that subject; uncorrected this
     anti-correlates scores with labels even on pure-noise features. The
     tuned scale_pos_weight is therefore multiplied per fold by the ratio
-    that restores the full-cohort class balance.
+    that restores the full-cohort class balance. When every fold model is
+    split-free that correction still leaves one probability per left-out
+    class, so the report's ``loocv_split_free`` flags an AUC that reflects
+    only the fold class balance.
     """
     X, y = table.values, table.labels
     n = len(y)
@@ -264,6 +268,7 @@ def loocv_evaluate(table: FeatureTable, params: HyperParams,
     n_neg = n - n_pos
     full_ratio = n_neg / n_pos
     probs = np.empty(n)
+    split_free = True
     for i in range(n):
         keep = np.arange(n) != i
         fold_ratio = (n_neg - (y[i] == 0)) / (n_pos - (y[i] == 1))
@@ -271,11 +276,13 @@ def loocv_evaluate(table: FeatureTable, params: HyperParams,
         model = gbt.fit(X[keep], y[keep],
                         replace(params, scale_pos_weight=spw))
         probs[i] = model.predict_proba(X[i])[0]
+        split_free = split_free and model.split_free
     cm = ConfusionMatrix.from_predictions(y, probs >= threshold)
     roc = roc_points(y, probs)
     return EvaluationReport(task=task, confusion=cm, metrics=metrics(cm),
                             threshold=threshold, roc=roc,
-                            auc=auc_from_roc(roc), params=params, probs=probs)
+                            auc=auc_from_roc(roc), params=params, probs=probs,
+                            loocv_split_free=split_free)
 
 
 def permutation_test(table: FeatureTable, observed_bacc: float,

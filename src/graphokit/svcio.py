@@ -174,17 +174,18 @@ def save_manifest(manifest: CohortManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_cohort(manifest: CohortManifest, strict: bool = False):
-    """Load all task recordings referenced by a manifest.
+def iter_cohort(manifest: CohortManifest, problems: list,
+                strict: bool = False):
+    """Read and parse the manifest's task files one at a time.
 
-    Returns ``(per_task, warnings_list)`` where ``per_task`` maps task name
-    to a list of ``(subject_id, label, InkRecording)`` in manifest order.
-    Subjects missing a task, or whose file cannot be read or parsed, are
-    omitted from that task with a warning record (lenient mode) or raise
-    (strict mode). Any other exception propagates.
+    Yields ``(task_name, subject_id, label, InkRecording)`` in manifest
+    order, so a caller that keeps only what it derives from each recording
+    holds one recording at a time. A missing file, or one that cannot be
+    read or parsed, is appended to ``problems`` and skipped (lenient mode)
+    or raises (strict mode); after the last file a UserWarning counts the
+    skipped ones. Any other exception propagates.
     """
-    per_task: dict[str, list] = {}
-    problems: list[str] = []
+    n_before = len(problems)
     for entry in manifest.entries:
         for task_name, rel in entry.files.items():
             fpath = manifest.root / rel
@@ -205,9 +206,23 @@ def load_cohort(manifest: CohortManifest, strict: bool = False):
                 problems.append(f"{entry.subject_id}/{task_name}: "
                                 f"parse failed ({exc})")
                 continue
-            per_task.setdefault(task_name, []).append(
-                (entry.subject_id, entry.label, rec))
-    if problems:
-        warnings.warn(f"{len(problems)} subject-task files skipped",
-                      stacklevel=2)
+            yield task_name, entry.subject_id, entry.label, rec
+    if len(problems) > n_before:
+        # stacklevel 3: past the loop that drives this generator, to its
+        # caller
+        warnings.warn(f"{len(problems) - n_before} subject-task files "
+                      f"skipped", stacklevel=3)
+
+
+def load_cohort(manifest: CohortManifest, strict: bool = False):
+    """Load all task recordings referenced by a manifest.
+
+    Returns ``(per_task, warnings_list)`` where ``per_task`` maps task name
+    to a list of ``(subject_id, label, InkRecording)`` in manifest order;
+    the files are read and skipped as :func:`iter_cohort` reads them.
+    """
+    per_task: dict[str, list] = {}
+    problems: list[str] = []
+    for task_name, sid, label, rec in iter_cohort(manifest, problems, strict):
+        per_task.setdefault(task_name, []).append((sid, label, rec))
     return per_task, problems

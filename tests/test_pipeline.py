@@ -268,6 +268,19 @@ class TestLOOCV:
         assert report.auc == 1.0
         assert report.task == "demo"
         assert len(report.probs) == 16
+        assert not report.loocv_split_free
+
+    def test_split_free_models_flagged(self):
+        # min_child_weight forbids every split: each fold model predicts one
+        # leaf weight, which depends only on the left-out subject's class
+        table = tiny_table(n_hc=8, n_lbd=8, delta=6.0, seed=5)
+        report = loocv_evaluate(table, HyperParams(n_estimators=5,
+                                                   min_child_weight=100.0,
+                                                   scale_pos_weight=2.0),
+                                0.5)
+        assert report.loocv_split_free
+        assert len(np.unique(report.probs)) == 2
+        assert report.auc == 1.0
 
     def test_needs_both_classes(self):
         rows = [(f"s{i}", 0, {"f": float(i)}) for i in range(5)]
